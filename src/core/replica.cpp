@@ -6,32 +6,6 @@
 
 namespace sbft::core {
 
-namespace {
-
-// Timer identifiers: kind in the top 16 bits, sequence/payload below.
-enum TimerKind : uint64_t {
-  kBatchTimer = 1,
-  kFastPathTimer = 2,
-  kStaggerFast = 3,
-  kStaggerPrepare = 4,
-  kStaggerSlow = 5,
-  kStaggerExec = 6,
-  kProgressTimer = 7,
-  kStateTransferTimer = 8,
-  kShareFallback = 9,   // re-send sign-share to the primary (stalled slot)
-  kStateFallback = 10,  // re-send sign-state to the primary (stalled cert)
-  kDonorTickTimer = 11, // drain chunk serves the donor rate limiter deferred
-  kShardTickTimer = 12, // marker executor retry cadence (docs/sharding.md)
-};
-
-uint64_t timer_id(TimerKind kind, uint64_t payload) {
-  return (static_cast<uint64_t>(kind) << 48) | (payload & 0xffffffffffffull);
-}
-TimerKind timer_kind(uint64_t id) { return static_cast<TimerKind>(id >> 48); }
-uint64_t timer_payload(uint64_t id) { return id & 0xffffffffffffull; }
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Per-slot state
 
@@ -99,95 +73,25 @@ struct SbftReplica::Slot {
 // ---------------------------------------------------------------------------
 // Construction / lifecycle
 
-namespace {
-/// Bootstrap roster handed to the runtime: the explicit one when given, else
-/// the genesis mapping (ids 1..n at nodes 0..n-1).
-runtime::RuntimeOptions make_runtime_options(const ReplicaOptions& opts) {
-  runtime::RuntimeOptions ro;
-  ro.checkpoint_interval = opts.config.checkpoint_interval();
-  ro.ledger = opts.ledger;
-  ro.wal = opts.wal;
-  ro.state_transfer_chunk_size = opts.config.state_transfer_chunk_size;
-  ro.state_transfer_max_chunks_per_request =
-      opts.config.state_transfer_max_chunks_per_request;
-  ro.state_transfer_delta_enabled = opts.config.state_transfer_delta_enabled;
-  ro.state_transfer_donor_chunks_per_tick =
-      opts.config.state_transfer_donor_chunks_per_tick;
-  ro.state_transfer_delta_history = opts.config.state_transfer_delta_history;
-  ro.self = opts.id;
-  ro.tracer = opts.tracer;
-  ro.marker_executor = opts.marker_executor;
-  if (!opts.roster.empty()) {
-    ro.membership_f = opts.roster_f > 0 ? opts.roster_f : opts.config.f;
-    ro.membership_c = opts.roster_f > 0 ? opts.roster_c : opts.config.c;
-    ro.bootstrap_members = opts.roster;
-  } else {
-    ro.membership_f = opts.config.f;
-    ro.membership_c = opts.config.c;
-    for (ReplicaId r = 1; r <= opts.config.n(); ++r) {
-      ro.bootstrap_members.push_back({r, r - 1});
-    }
-  }
-  return ro;
-}
-}  // namespace
-
 SbftReplica::SbftReplica(ReplicaOptions options, std::unique_ptr<IService> service)
-    : opts_(std::move(options)),
-      runtime_(make_runtime_options(opts_), std::move(service)),
-      trace_(opts_.tracer ? *opts_.tracer : obs::Tracer::nop()),
-      metrics_(opts_.metrics ? opts_.metrics
-                             : std::make_shared<obs::MetricsRegistry>()),
-      h_pp_to_commit_(&metrics_->histogram("stage.pp_to_commit_us")),
-      h_commit_to_exec_(&metrics_->histogram("stage.commit_to_exec_us")),
+    : ReplicaShell(static_cast<const runtime::ShellOptions&>(options),
+                   options.roster_c, options.behavior == ReplicaBehavior::kSilent,
+                   std::move(service)),
+      crypto_(std::move(options.crypto)),
+      behavior_(options.behavior),
+      collector_stagger_us_(options.collector_stagger_us),
+      epoch_keys_(std::move(options.epoch_keys)),
       h_pending_wait_(&metrics_->histogram("stage.pending_wait_us")),
-      h_exec_to_ack_(&metrics_->histogram("stage.exec_to_ack_us")),
-      cfg_(opts_.config) {
+      h_exec_to_ack_(&metrics_->histogram("stage.exec_to_ack_us")) {
   opts_.config.validate();
-  // With an explicit roster the id may exceed the genesis n (a joiner added
-  // by a later epoch); the genesis mapping requires id in 1..n.
-  SBFT_CHECK(opts_.id >= 1 &&
-             (!opts_.roster.empty() || opts_.id <= opts_.config.n()));
-  recover_from_storage();
-  // Recovery may have reinstalled a later epoch; fold it into the derived
-  // config and retirement state (no context: timers re-arm in on_start).
-  // A non-member is a *joiner* only when nothing local says otherwise; a
-  // restarted removed member — whose recovered WAL carries the epoch that
-  // excluded it — re-retires instead of probing for an admission that will
-  // never come. (A wiped removed member boots as a joiner and retires the
-  // moment it adopts a checkpoint whose epoch excludes it.)
-  cfg_ = epoch().derive_config(opts_.config);
-  runtime_.take_epoch_change();
-  retired_ = !runtime_.membership().is_member(opts_.id) &&
-             (!opts_.recovering || runtime_.stats().recoveries > 0);
-}
-
-NodeId SbftReplica::node_of(ReplicaId r) const {
-  // Resolve through the membership history (a state-transfer requester may be
-  // a joiner known only from a staged delta; a donor may be a member of an
-  // epoch this replica already left behind). Genesis fallback r-1 covers the
-  // unconfigured unit-test paths.
-  const runtime::MembershipManager& m = runtime_.membership();
-  if (!m.configured()) return r - 1;
-  for (auto it = m.history().rbegin(); it != m.history().rend(); ++it) {
-    if (int rank = it->rank_of(r); rank >= 0) {
-      return it->members[static_cast<size_t>(rank)].node;
-    }
-  }
-  if (m.pending()) {
-    for (const ReplicaInfo& add : m.pending()->delta.adds) {
-      if (add.id == r) return add.node;
-    }
-  }
-  return r - 1;
 }
 
 const ReplicaCrypto& SbftReplica::crypto_for_epoch(
     const runtime::MembershipEpoch& e) const {
-  if (e.epoch == 0 || !opts_.epoch_keys) return opts_.crypto;
+  if (e.epoch == 0 || !epoch_keys_) return crypto_;
   auto it = epoch_crypto_.find(e.epoch);
   if (it != epoch_crypto_.end()) return it->second;
-  const ClusterKeys* keys = opts_.epoch_keys->find(e.epoch);
+  const ClusterKeys* keys = epoch_keys_->find(e.epoch);
   SBFT_CHECK(keys != nullptr);  // epochs are provisioned before they activate
   ReplicaCrypto rc = ReplicaCrypto::verifier_only(*keys);
   if (int rank = e.rank_of(opts_.id); rank >= 0) {
@@ -208,9 +112,9 @@ bool SbftReplica::verify_cert_pi(const ExecCertificate& cert) const {
   // vouch. Falling back to older epochs would let f+1 shareholders of a
   // retired epoch mint certificates for arbitrary state (the single-source
   // checkpoint-trust hazard the PBFT quorum certificate exists to close).
-  if (opts_.epoch_keys) {
+  if (epoch_keys_) {
     uint64_t active_epoch = epoch().epoch;
-    for (const auto& [id, keys] : opts_.epoch_keys->epochs()) {
+    for (const auto& [id, keys] : epoch_keys_->epochs()) {
       if (id <= active_epoch) continue;
       if (keys.pi.verifier->verify(d, as_span(cert.pi_sig))) return true;
     }
@@ -236,37 +140,6 @@ ViewChangeVerifiers SbftReplica::view_change_verifiers() const {
   return verifiers;
 }
 
-SeqNum SbftReplica::reconfig_gate() const {
-  if (SeqNum staged = runtime_.membership().pending_activation(); staged > 0) {
-    return staged;
-  }
-  return shadow_gate_ > le() ? shadow_gate_ : 0;
-}
-
-void SbftReplica::maybe_refresh_epoch(sim::ActorContext& ctx) {
-  if (!runtime_.take_epoch_change()) return;
-  cfg_ = epoch().derive_config(opts_.config);
-  shadow_gate_ = 0;
-  if (!runtime_.membership().is_member(opts_.id)) {
-    // Removed: drain. Keep serving state transfer and cached replies; never
-    // vote, propose, or start view changes again.
-    retired_ = true;
-    trace_.instant(ctx.now(), obs::Category::kReconfig, obs::ev::kEpochRetired,
-                   0, 0, 0, "epoch", epoch().epoch);
-    in_view_change_ = false;
-    pending_.clear();
-    pending_keys_.clear();
-    return;
-  }
-  // A replica that just joined needs nothing special — the slots above its
-  // adopted checkpoint arrive through the normal protocol paths.
-  retired_ = false;
-  if (is_primary()) {
-    ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
-    try_propose(ctx);
-  }
-}
-
 SbftReplica::~SbftReplica() = default;
 
 ReplicaStats SbftReplica::stats() const {
@@ -275,46 +148,9 @@ ReplicaStats SbftReplica::stats() const {
   return merged;
 }
 
-void SbftReplica::recover_from_storage() {
-  auto recovered = runtime_.recover();
-  if (!recovered) return;  // fresh storage, or snapshot failed verification
-
-  view_ = recovered->view;
-  vc_target_ = view_;
-  progress_marker_ = le();
-  next_seq_ = recovered->install_votes(wal_votes_, le() + 1);
-  recovered_replay_bytes_ = recovered->replayed_bytes;
-}
-
-void SbftReplica::on_start(sim::ActorContext& ctx) {
-  // Boot-time replay cost: reading the ledger suffix back and re-executing it
-  // is charged like the sequential I/O that produced it.
-  if (recovered_replay_bytes_ > 0) {
-    ctx.charge(ctx.costs().persist_us(recovered_replay_bytes_));
-  }
-  if (is_primary()) {
-    ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
-  }
-  if (opts_.marker_executor != nullptr &&
-      opts_.marker_executor->tick_interval_us() > 0) {
-    ctx.set_timer(opts_.marker_executor->tick_interval_us(),
-                  timer_id(kShardTickTimer, 0));
-  }
-  // Recovery replay may have re-run shard decisions whose results the
-  // outside world never saw (crash between execute and send): flush them.
-  pump_marker_executor(ctx);
-  // A restarted replica may have slept through checkpoints (or lost its disk
-  // entirely): probe a peer for a newer stable checkpoint right away instead
-  // of waiting to notice the gap from protocol traffic.
-  if (opts_.recovering) request_state_transfer(ctx);
-}
-
-std::optional<Digest> SbftReplica::committed_digest_of(SeqNum s) const {
+std::optional<Digest> SbftReplica::slot_committed_digest(SeqNum s) const {
   auto it = slots_.find(s);
   if (it != slots_.end() && it->second.committed) return it->second.committed_digest;
-  if (const runtime::ExecutionRecord* rec = runtime_.record(s)) {
-    return rec->block.digest();
-  }
   return std::nullopt;
 }
 
@@ -325,43 +161,24 @@ SbftReplica::Slot* SbftReplica::find_slot(SeqNum s) {
   return it == slots_.end() ? nullptr : &it->second;
 }
 
-void SbftReplica::send_to_replica(sim::ActorContext& ctx, ReplicaId r, MessagePtr msg) {
-  if (silent()) return;
-  ctx.send(node_of(r), std::move(msg));
-}
-
-void SbftReplica::broadcast_replicas(sim::ActorContext& ctx, MessagePtr msg) {
-  if (silent()) return;
-  for (const ReplicaInfo& m : epoch().members) ctx.send(m.node, msg);
-}
-
 Bytes SbftReplica::sign_share_maybe_corrupt(const crypto::IThresholdSigner& signer,
                                             const Digest& d) const {
   Bytes share = signer.sign_share(d);
-  if (opts_.behavior == ReplicaBehavior::kCorruptShares && !share.empty()) {
+  if (behavior_ == ReplicaBehavior::kCorruptShares && !share.empty()) {
     share[0] ^= 0xff;
   }
   return share;
 }
 
-void SbftReplica::arm_progress_timer(sim::ActorContext& ctx) {
-  if (progress_timer_armed_) return;
-  progress_timer_armed_ = true;
-  int64_t backoff = opts_.config.view_change_timeout_us
-                    << std::min<uint32_t>(vc_attempts_, 6);
-  ctx.set_timer(backoff, timer_id(kProgressTimer, 0));
-}
-
 // ---------------------------------------------------------------------------
 // Dispatch
 
-void SbftReplica::on_message(NodeId from, const Message& msg, sim::ActorContext& ctx) {
+void SbftReplica::on_protocol_message(NodeId from, const Message& msg,
+                                      sim::ActorContext& ctx) {
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, ClientRequestMsg>) {
-          handle_client_request(from, m, ctx);
-        } else if constexpr (std::is_same_v<T, PrePrepareMsg>) {
+        if constexpr (std::is_same_v<T, PrePrepareMsg>) {
           handle_pre_prepare(from, m, ctx);
         } else if constexpr (std::is_same_v<T, SignShareMsg>) {
           handle_sign_share(m, ctx);
@@ -385,44 +202,15 @@ void SbftReplica::on_message(NodeId from, const Message& msg, sim::ActorContext&
           handle_get_block_request(m, ctx);
         } else if constexpr (std::is_same_v<T, GetBlockReplyMsg>) {
           handle_get_block_reply(m, ctx);
-        } else if constexpr (std::is_same_v<T, StateTransferRequestMsg>) {
-          handle_state_transfer_request(from, m, ctx);
-        } else if constexpr (std::is_same_v<T, StateTransferReplyMsg>) {
-          handle_state_transfer_reply(m, ctx);
-        } else if constexpr (std::is_same_v<T, StateManifestMsg>) {
-          handle_state_manifest(from, m, ctx);
-        } else if constexpr (std::is_same_v<T, StateChunkRequestMsg>) {
-          handle_state_chunk_request(from, m, ctx);
-        } else if constexpr (std::is_same_v<T, StateChunkMsg>) {
-          handle_state_chunk(from, m, ctx);
-        } else if constexpr (std::is_same_v<T, ReconfigBlockMsg>) {
-          handle_reconfig_block(m, ctx);
-        } else if constexpr (std::is_same_v<T, TxVoteMsg> ||
-                             std::is_same_v<T, TxDecisionMsg>) {
-          // Cross-shard 2PC traffic belongs to the marker executor; the pump
-          // below relays its responses and stages decision markers.
-          if (opts_.marker_executor != nullptr) {
-            opts_.marker_executor->on_network(from, msg, ctx.now());
-          }
         }
         // PBFT baseline messages are ignored by SBFT replicas.
       },
       msg);
-  pump_marker_executor(ctx);
 }
 
-void SbftReplica::on_timer(uint64_t id, sim::ActorContext& ctx) {
+void SbftReplica::on_protocol_timer(uint64_t id, sim::ActorContext& ctx) {
   SeqNum s = timer_payload(id);
   switch (timer_kind(id)) {
-    case kBatchTimer: {
-      // Flush partial batches so low load never waits forever (§V-C "or
-      // reaching a timeout").
-      if (is_primary() && !in_view_change_) try_propose(ctx, /*flush_partial=*/true);
-      if (is_primary()) {
-        ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
-      }
-      break;
-    }
     case kFastPathTimer: {
       Slot* sl = find_slot(s);
       if (!sl || sl->committed || !sl->coll_active) break;
@@ -508,173 +296,20 @@ void SbftReplica::on_timer(uint64_t id, sim::ActorContext& ctx) {
                       make_message(std::move(ss)));
       break;
     }
-    case kStateTransferTimer: {
-      runtime::StateTransferManager& st = runtime_.state_transfer();
-      if (st.chunked()) {
-        // Single retry loop; the stop/probe decisions live in the manager,
-        // shared with the PBFT engine.
-        auto tick = st.on_retry_tick(le(), state_transfer_behind(), runtime_.stats());
-        if (tick.stop) {
-          st_inflight_ = false;
-          if (st_span_open_ && !state_transfer_behind()) {
-            st_span_open_ = false;
-            trace_.end(ctx.now(), obs::Category::kStateTransfer,
-                       obs::ev::kStateTransfer, st_session_, le());
-          }
-          // The fetch that just ended may have become moot for its *target*
-          // while the replica fell behind a newer checkpoint (the cluster
-          // moved on mid-fetch): start over, like the legacy path below.
-          if (state_transfer_behind()) request_state_transfer(ctx);
-          break;
-        }
-        if (tick.probe) {
-          broadcast_state_probe(ctx);
-        } else {
-          trace_.instant(ctx.now(), obs::Category::kStateTransfer,
-                         obs::ev::kStResume, st_session_, le());
-        }
-        send_chunk_requests(ctx);
-        ctx.set_timer(opts_.config.state_transfer_retry_us,
-                      timer_id(kStateTransferTimer, 0));
-        break;
-      }
-      st_inflight_ = false;
-      if (st_span_open_ && !state_transfer_behind()) {
-        st_span_open_ = false;
-        trace_.end(ctx.now(), obs::Category::kStateTransfer,
-                   obs::ev::kStateTransfer, st_session_, le());
-      }
-      // Still behind? Try another source.
-      if (state_transfer_behind()) request_state_transfer(ctx);
-      break;
-    }
-    case kDonorTickTimer: {
-      donor_tick_armed_ = false;
-      runtime::StateTransferManager& st = runtime_.state_transfer();
-      for (auto& [node, chunk] : st.on_donor_tick(
-               runtime_.checkpoints(), opts_.id, runtime_.stats())) {
-        ctx.charge(ctx.costs().hash_us(chunk.data.size()));
-        if (opts_.corrupt_state_chunks && !chunk.data.empty()) {
-          chunk.data[0] ^= 0xff;
-        }
-        if (!silent()) ctx.send(node, make_message(std::move(chunk)));
-      }
-      arm_donor_tick(ctx);
-      break;
-    }
-    case kShardTickTimer: {
-      if (opts_.marker_executor != nullptr) {
-        opts_.marker_executor->on_tick(ctx.now());
-        ctx.set_timer(opts_.marker_executor->tick_interval_us(),
-                      timer_id(kShardTickTimer, 0));
-      }
-      break;
-    }
     default:
       break;
   }
-  pump_marker_executor(ctx);
 }
 
 // ---------------------------------------------------------------------------
-// Client requests / primary proposal
+// Primary proposal
 
-void SbftReplica::handle_client_request(NodeId from, const ClientRequestMsg& m,
-                                        sim::ActorContext& ctx) {
-  const Request& req = m.request;
-  // The reconfiguration marker id is reserved for blocks the primary builds
-  // from ReconfigBlockMsg; a "client" claiming it is forging. Same for the
-  // shard 2PC decision marker id (decisions enter via the marker executor).
-  if (req.client == kReconfigClient || req.client == kShardTxClient) return;
-  // Client request signature ([31]): verified on a worker lane when the node
-  // has one; admission continues in the completion.
-  ctx.offload(ctx.costs().rsa_verify_us,
-              [this, from, req](sim::ActorContext& c) {
-                admit_client_request(from, req, c);
-              });
-}
-
-void SbftReplica::admit_client_request(NodeId from, const Request& req,
-                                       sim::ActorContext& ctx) {
-  if (const runtime::CachedReply* cached =
-          runtime_.cached_reply(req.client, req.timestamp)) {
-    // Already executed: serve the cached reply (client retry path, §V-A).
-    ClientReplyMsg reply;
-    reply.replica = opts_.id;
-    reply.client = req.client;
-    reply.timestamp = cached->timestamp;
-    reply.seq = cached->seq;
-    reply.value = cached->value;
-    if (!silent()) ctx.send(req.client, make_message(std::move(reply)));
-    trace_.instant(ctx.now(), obs::Category::kSlot, obs::ev::kReplyCached, 0,
-                   cached->seq, view_, "client", req.client);
-    return;
-  }
-
-  if (retired_) return;  // drained: serves caches only, never orders
+bool SbftReplica::censors(const Request& req) const {
   // Censoring primary: requests from odd-id clients vanish at admission. The
   // censored client keeps retrying, backups keep forwarding, and their
   // progress timers eventually force a view change to an honest primary.
-  if (opts_.behavior == ReplicaBehavior::kCensor && is_primary() &&
-      req.client % 2 == 1) {
-    return;
-  }
-  if (is_primary() && !in_view_change_) {
-    auto key = std::make_pair(req.client, req.timestamp);
-    if (pending_keys_.insert(key).second) {
-      pending_.emplace_back(req, ctx.now());
-      trace_.instant(ctx.now(), obs::Category::kSlot, obs::ev::kRequestAdmitted,
-                     0, 0, view_, "client", req.client);
-    }
-    try_propose(ctx);
-  } else if (from == req.client) {
-    // Forward to the current primary; remember that we owe progress — if the
-    // primary never commits this request the timer forces a view change.
-    send_to_replica(ctx, epoch().primary_of(view_),
-                    make_message(ClientRequestMsg{req}));
-    forwarded_waiting_ = true;
-    arm_progress_timer(ctx);
-  }
-}
-
-void SbftReplica::handle_reconfig_block(const ReconfigBlockMsg& m,
-                                        sim::ActorContext& ctx) {
-  // Administrative channel (docs/reconfiguration.md): the operator submits
-  // the delta to every replica; the primary orders it as a marker request.
-  // Validation is repeated deterministically at execution, so a stale or
-  // inconsistent delta becomes an ordered no-op.
-  if (retired_ || silent() || !is_primary() || in_view_change_) return;
-  auto key = std::make_pair(kReconfigClient, m.nonce);
-  if (pending_keys_.insert(key).second) {
-    pending_.emplace_back(make_reconfig_request(m.delta, m.nonce), ctx.now());
-  }
-  try_propose(ctx, /*flush_partial=*/true);
-}
-
-void SbftReplica::pump_marker_executor(sim::ActorContext& ctx) {
-  runtime::IMarkerExecutor* ex = opts_.marker_executor;
-  if (ex == nullptr) return;
-  // Relay whatever the executor queued while handling ordered markers or
-  // cross-group messages (votes, decision broadcasts, client results).
-  for (auto& [node, msg] : ex->take_outbound()) {
-    if (!silent()) ctx.send(node, std::move(msg));
-  }
-  // Decision markers the executor wants ordered go through the primary's
-  // pending queue like reconfiguration blocks; on a backup they are dropped
-  // here and re-staged by the executor's tick (possibly under a new primary).
-  if (retired_ || silent() || !is_primary() || in_view_change_) {
-    ex->take_marker_requests();
-    return;
-  }
-  bool queued = false;
-  for (Request& req : ex->take_marker_requests()) {
-    auto key = std::make_pair(req.client, req.timestamp);
-    if (pending_keys_.insert(key).second) {
-      pending_.emplace_back(std::move(req), ctx.now());
-      queued = true;
-    }
-  }
-  if (queued) try_propose(ctx, /*flush_partial=*/true);
+  return behavior_ == ReplicaBehavior::kCensor && is_primary() &&
+         req.client % 2 == 1;
 }
 
 uint64_t SbftReplica::active_window() const {
@@ -760,7 +395,7 @@ void SbftReplica::propose_block(Block block, sim::ActorContext& ctx) {
   SeqNum s = next_seq_++;
   ctx.charge(ctx.costs().hash_us(block.wire_size()));
 
-  if (opts_.behavior == ReplicaBehavior::kEquivocate && block.requests.size() >= 2) {
+  if (behavior_ == ReplicaBehavior::kEquivocate && block.requests.size() >= 2) {
     // Send conflicting blocks to the two halves of the cluster: same
     // sequence, different request order => different digests.
     Block alt = block;
@@ -911,7 +546,7 @@ void SbftReplica::handle_sign_share(const SignShareMsg& m, sim::ActorContext& ct
     sl.coll_fast_timer_set = true;
     int64_t delay = opts_.config.fast_path_enabled
                         ? opts_.config.fast_path_timeout_us +
-                              rank * opts_.collector_stagger_us
+                              rank * collector_stagger_us_
                         : 0;  // fast path disabled: prepare as soon as possible
     if (opts_.config.fast_path_enabled) {
       ctx.set_timer(delay, timer_id(kFastPathTimer, m.seq));
@@ -926,7 +561,7 @@ void SbftReplica::handle_sign_share(const SignShareMsg& m, sim::ActorContext& ct
       collector_try_fast(m.seq, ctx, false);
     } else if (!sl.coll_stagger_fast_set) {
       sl.coll_stagger_fast_set = true;
-      ctx.set_timer(rank * opts_.collector_stagger_us, timer_id(kStaggerFast, m.seq));
+      ctx.set_timer(rank * collector_stagger_us_, timer_id(kStaggerFast, m.seq));
     }
   }
   if (!opts_.config.fast_path_enabled &&
@@ -936,7 +571,7 @@ void SbftReplica::handle_sign_share(const SignShareMsg& m, sim::ActorContext& ct
       collector_try_prepare(m.seq, ctx);
     } else if (!sl.coll_stagger_prepare_set) {
       sl.coll_stagger_prepare_set = true;
-      ctx.set_timer(rank * opts_.collector_stagger_us,
+      ctx.set_timer(rank * collector_stagger_us_,
                     timer_id(kStaggerPrepare, m.seq));
     }
   }
@@ -1124,7 +759,7 @@ void SbftReplica::handle_commit_share(const CommitShareMsg& m, sim::ActorContext
       // Staggered backups — the primary is always the last to activate
       // (§V-E); they act only if the faster collectors stayed silent.
       sl.coll_stagger_slow_set = true;
-      ctx.set_timer(rank * opts_.collector_stagger_us, timer_id(kStaggerSlow, m.seq));
+      ctx.set_timer(rank * collector_stagger_us_, timer_id(kStaggerSlow, m.seq));
     }
   }
 }
@@ -1358,7 +993,7 @@ void SbftReplica::handle_sign_state(const SignStateMsg& m, sim::ActorContext& ct
       ecollector_try_proof(m.seq, ctx, false);
     } else if (!sl.e_stagger_set) {
       sl.e_stagger_set = true;
-      ctx.set_timer(rank * opts_.collector_stagger_us, timer_id(kStaggerExec, m.seq));
+      ctx.set_timer(rank * collector_stagger_us_, timer_id(kStaggerExec, m.seq));
     }
   }
 }
@@ -1749,265 +1384,27 @@ void SbftReplica::enter_new_view(const NewViewMsg& m, sim::ActorContext& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// State transfer (§VIII; chunked protocol spec in docs/state_transfer.md)
+// State transfer hooks (the protocol lives in runtime::ReplicaShell)
 
-bool SbftReplica::state_transfer_behind() const {
+bool SbftReplica::slots_behind() const {
   // A committed-but-unfetchable slot or delivered traffic far past le() means
-  // blocks this replica will never see again; a wiped/restarted boot that has
-  // recovered nothing yet must also keep probing (its first probe may race
-  // ahead of any checkpoint existing). A joiner — bootstrapped with a roster
-  // that does not contain it — keeps probing until the epoch admitting it
-  // arrives via a fetched checkpoint (docs/reconfiguration.md).
+  // blocks this replica will never see again.
   const Slot* next = nullptr;
   if (auto it = slots_.find(le() + 1); it != slots_.end()) next = &it->second;
   return (!slots_.empty() && slots_.rbegin()->first > le() + opts_.config.win) ||
-         (next && next->committed && !next->block) ||
-         (opts_.recovering && le() == 0 && ls() == 0) ||
-         (!retired_ && !runtime_.membership().is_member(opts_.id));
+         (next && next->committed && !next->block);
 }
 
-void SbftReplica::request_state_transfer(sim::ActorContext& ctx) {
-  // A retired (removed) replica drains: it serves its retained checkpoint
-  // but never fetches newer state — adopting one would advance its
-  // execution past the drain point.
-  if (silent() || retired_) return;
-  runtime::StateTransferManager& st = runtime_.state_transfer();
-  if (st.chunked()) {
-    if (st.active()) return;  // a fetch round is already running
-    ++runtime_.stats().state_transfers;
-    if (!st_span_open_) {
-      st_span_open_ = true;
-      trace_.begin(ctx.now(), obs::Category::kStateTransfer,
-                   obs::ev::kStateTransfer, ++st_session_, le());
-    }
-    broadcast_state_probe(ctx);
-    if (!st_inflight_) {
-      st_inflight_ = true;  // retry timer armed
-      ctx.set_timer(opts_.config.state_transfer_retry_us,
-                    timer_id(kStateTransferTimer, 0));
-    }
-    return;
-  }
-  if (st_inflight_) return;
-  st_inflight_ = true;
-  ++runtime_.stats().state_transfers;
-  if (!st_span_open_) {
-    st_span_open_ = true;
-    trace_.begin(ctx.now(), obs::Category::kStateTransfer,
-                 obs::ev::kStateTransfer, ++st_session_, le());
-  }
-  // Ask a pseudo-random member; retry rotates the choice.
-  const auto& members = epoch().members;
-  ReplicaId peer = members[ctx.rng().below(members.size())].id;
-  if (peer == opts_.id) {
-    peer = members[(epoch().rank_of(peer) + 1) % members.size()].id;
-  }
-  StateTransferRequestMsg req;
-  req.requester = opts_.id;
-  req.have_seq = le();
-  send_to_replica(ctx, peer, make_message(std::move(req)));
-  ctx.set_timer(opts_.config.view_change_timeout_us, timer_id(kStateTransferTimer, 0));
-}
-
-void SbftReplica::handle_state_transfer_request(NodeId from,
-                                                const StateTransferRequestMsg& m,
-                                                sim::ActorContext& ctx) {
-  if (silent()) return;
-  // Ship the consistent (certificate, snapshot) pair — never the bare stable
-  // checkpoint, whose snapshot may not have been captured. Replies go to the
-  // requesting *node*: a joining replica is not in any epoch the donor holds
-  // yet, so its id resolves through no roster.
-  const runtime::CheckpointManager& cp = runtime_.checkpoints();
-  if (cp.snapshot_cert().pi_sig.empty() || cp.snapshot_cert().seq <= m.have_seq)
-    return;
-  runtime::StateTransferManager& st = runtime_.state_transfer();
-  if (st.chunked()) {
-    // Building the chunk tree hashes the whole envelope — charged only when
-    // the cache is cold for this checkpoint, not on every repeated probe
-    // (note_checkpoint keeps it warm in steady state).
-    bool cold = st.donor_cached_seq() != cp.snapshot_cert().seq;
-    auto manifest = st.make_manifest(cp, m, opts_.id);
-    if (!manifest) return;
-    if (cold) ctx.charge(ctx.costs().hash_us(cp.snapshot().size()));
-    ctx.send(from, make_message(std::move(*manifest)));
-    return;
-  }
-  StateTransferReplyMsg reply;
-  reply.seq = cp.snapshot_cert().seq;
-  reply.cert = cp.snapshot_cert();
-  reply.service_snapshot = cp.snapshot();
-  ctx.charge(ctx.costs().hash_us(cp.snapshot().size()));
-  ctx.send(from, make_message(std::move(reply)));
-}
-
-void SbftReplica::handle_state_transfer_reply(const StateTransferReplyMsg& m,
-                                              sim::ActorContext& ctx) {
-  if (m.seq <= le()) {
-    st_inflight_ = false;
-    if (st_span_open_ && !state_transfer_behind()) {
-      st_span_open_ = false;
-      trace_.end(ctx.now(), obs::Category::kStateTransfer,
-                 obs::ev::kStateTransfer, st_session_, le());
-    }
-    return;
-  }
-  ctx.charge(ctx.costs().bls_verify_combined_us);
-  if (m.cert.seq != m.seq || !verify_cert_pi(m.cert)) return;
-  // The runtime verifies the snapshot envelope against the certificate's
-  // state root, installs the service + reply cache, and records the
-  // checkpoint in the WAL.
-  if (!runtime_.adopt_checkpoint(m.cert, as_span(m.service_snapshot), ctx)) return;
-  slots_.erase(slots_.begin(), slots_.upper_bound(m.seq));
-  runtime_.evidence().gc_through(m.seq);
-  st_inflight_ = false;
-  trace_.instant(ctx.now(), obs::Category::kStateTransfer, obs::ev::kStAdopt,
-                 st_session_, m.seq);
-  if (st_span_open_) {
-    st_span_open_ = false;
-    trace_.end(ctx.now(), obs::Category::kStateTransfer, obs::ev::kStateTransfer,
-               st_session_, m.seq);
-  }
-  maybe_refresh_epoch(ctx);  // the adopted envelope may carry a newer epoch
-  try_execute(ctx);
-}
-
-void SbftReplica::handle_state_manifest(NodeId from, const StateManifestMsg& m,
-                                        sim::ActorContext& ctx) {
-  runtime::StateTransferManager& st = runtime_.state_transfer();
-  if (silent() || !st.chunked() || !st.active() || m.seq <= le()) return;
-  // The donor field must match the authenticated channel's sender: donor
-  // identity drives registration and (on an invalid chunk) exclusion, so a
-  // Byzantine replica must not be able to impersonate honest donors. All
-  // cheap structural checks run before the pairing is charged — an excluded
-  // donor spamming manifests must not cost a signature verification each.
-  if (!from_replica(from, m.donor)) return;
-  if (m.cert.seq != m.seq || st.donor_excluded(m.donor)) return;
-  // The certificate must be pi-certified before the manifest can target the
-  // fetch; the chunk root itself is bound end-to-end by the final state-root
-  // check in adopt_checkpoint (a lying manifest sender is excluded there).
+bool SbftReplica::verify_checkpoint(const StateManifestMsg& m,
+                                    sim::ActorContext& ctx) {
   // Seq-aware + provisioned-epoch fallback: a joiner fetches checkpoints
   // certified under epochs it has not installed yet.
   ctx.charge(ctx.costs().bls_verify_combined_us);
-  if (!verify_cert_pi(m.cert)) return;
-  bool accepted = st.on_manifest(m, le(), runtime_.checkpoints(), runtime_.stats());
-  if (accepted) {
-    trace_.instant(ctx.now(), obs::Category::kStateTransfer, obs::ev::kStManifest,
-                   st_session_, m.seq, 0, "donor", m.donor);
-  }
-  if (accepted) {
-    // A delta manifest may have seeded every chunk from the local base — the
-    // fetch can be complete without a single wire chunk.
-    if (st.fetch_complete()) {
-      complete_chunked_transfer(ctx);
-    } else {
-      send_chunk_requests(ctx);
-    }
-  }
+  return verify_cert_pi(m.cert);
 }
 
-void SbftReplica::handle_state_chunk_request(NodeId from,
-                                             const StateChunkRequestMsg& m,
-                                             sim::ActorContext& ctx) {
-  if (silent()) return;
-  std::vector<StateChunkMsg> chunks = runtime_.state_transfer().make_chunks(
-      runtime_.checkpoints(), m, opts_.id, runtime_.stats(), from);
-  for (StateChunkMsg& c : chunks) {
-    ctx.charge(ctx.costs().hash_us(c.data.size()));
-    if (opts_.corrupt_state_chunks && !c.data.empty()) c.data[0] ^= 0xff;
-    ctx.send(from, make_message(std::move(c)));  // joiners resolve by node only
-  }
-  arm_donor_tick(ctx);
-}
-
-void SbftReplica::broadcast_state_probe(sim::ActorContext& ctx) {
-  runtime::StateTransferManager& st = runtime_.state_transfer();
-  const runtime::CheckpointManager& cp = runtime_.checkpoints();
-  // The probe advertises this replica's retained checkpoint as the delta
-  // base; computing its transfer root chunk-hashes the local snapshot when
-  // the donor cache is cold (mirrors the manifest-side cold charge).
-  bool cold =
-      cp.has_shippable() && st.donor_cached_seq() != cp.snapshot_cert().seq;
-  StateTransferRequestMsg probe = st.make_probe(cp, opts_.id, le());
-  if (cold && probe.base_seq > 0) {
-    ctx.charge(ctx.costs().hash_us(cp.snapshot().size()));
-  }
-  trace_.instant(ctx.now(), obs::Category::kStateTransfer, obs::ev::kStProbe,
-                 st_session_, le());
-  broadcast_replicas(ctx, make_message(std::move(probe)));
-}
-
-void SbftReplica::arm_donor_tick(sim::ActorContext& ctx) {
-  if (donor_tick_armed_ || !runtime_.state_transfer().donor_tick_needed()) return;
-  donor_tick_armed_ = true;
-  ctx.set_timer(opts_.config.state_transfer_donor_tick_us,
-                timer_id(kDonorTickTimer, 0));
-}
-
-void SbftReplica::handle_state_chunk(NodeId from, const StateChunkMsg& m,
-                                     sim::ActorContext& ctx) {
-  if (silent()) return;
-  // Spoofed donor ids could exclude honest donors (see handle_state_manifest).
-  if (!from_replica(from, m.donor)) return;
-  runtime::StateTransferManager& st = runtime_.state_transfer();
-  ctx.charge(ctx.costs().hash_us(m.data.size()));  // leaf hash + proof path
-  using Verdict = runtime::StateTransferManager::ChunkVerdict;
-  switch (Verdict verdict = st.on_chunk(m, runtime_.stats()); verdict) {
-    case Verdict::kCompleted:
-      trace_.instant(ctx.now(), obs::Category::kStateTransfer,
-                     obs::ev::kStChunkStored, st_session_, m.seq, 0, "index",
-                     m.index);
-      complete_chunked_transfer(ctx);
-      break;
-    case Verdict::kStored:
-    case Verdict::kInvalid:
-      trace_.instant(ctx.now(), obs::Category::kStateTransfer,
-                     verdict == Verdict::kStored ? obs::ev::kStChunkStored
-                                                 : obs::ev::kStChunkInvalid,
-                     st_session_, m.seq, 0,
-                     verdict == Verdict::kStored ? "index" : "donor",
-                     verdict == Verdict::kStored ? m.index : m.donor);
-      // Keep the pipeline full; an invalid chunk also re-plans the indices
-      // that were outstanding at the now-excluded donor.
-      send_chunk_requests(ctx);
-      break;
-    case Verdict::kDuplicate:
-    case Verdict::kRejected:
-      break;
-  }
-}
-
-void SbftReplica::send_chunk_requests(sim::ActorContext& ctx) {
-  for (auto& [donor, req] : runtime_.state_transfer().plan_requests(opts_.id)) {
-    send_to_replica(ctx, donor, make_message(std::move(req)));
-  }
-}
-
-void SbftReplica::complete_chunked_transfer(sim::ActorContext& ctx) {
-  runtime::StateTransferManager& st = runtime_.state_transfer();
-  ExecCertificate cert = st.target_cert();
-  Bytes envelope = st.take_envelope();
-  bool adopted = runtime_.adopt_checkpoint(cert, as_span(envelope), ctx);
-  // The stale-target vs lying-manifest distinction lives in the manager,
-  // shared with the PBFT engine.
-  if (st.on_adopt_result(adopted, le())) broadcast_state_probe(ctx);
-  if (!adopted) {
-    // Session stays open: the retry tick re-probes or stops it.
-    trace_.instant(ctx.now(), obs::Category::kStateTransfer,
-                   obs::ev::kStAdoptFailed, st_session_, cert.seq);
-    return;
-  }
-  trace_.instant(ctx.now(), obs::Category::kStateTransfer, obs::ev::kStAdopt,
-                 st_session_, cert.seq, 0, "digest",
-                 obs::digest_prefix(cert.exec_digest().data()));
-  if (st_span_open_) {
-    st_span_open_ = false;
-    trace_.end(ctx.now(), obs::Category::kStateTransfer, obs::ev::kStateTransfer,
-               st_session_, cert.seq);
-  }
-  slots_.erase(slots_.begin(), slots_.upper_bound(cert.seq));
-  runtime_.evidence().gc_through(cert.seq);
-  maybe_refresh_epoch(ctx);  // the adopted envelope may carry a newer epoch
-  try_execute(ctx);
+void SbftReplica::on_checkpoint_adopted(SeqNum seq) {
+  slots_.erase(slots_.begin(), slots_.upper_bound(seq));
 }
 
 }  // namespace sbft::core

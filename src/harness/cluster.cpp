@@ -99,7 +99,7 @@ void Cluster::build_replica(ReplicaHandle& handle, core::ReplicaBehavior behavio
     po.tracer = handle.tracer_;
     po.metrics = handle.metrics_;
     po.marker_executor = handle.marker_executor_.get();
-    handle.pbft_ =
+    handle.replica_ =
         std::make_unique<pbft::PbftReplica>(std::move(po), opts_.service_factory());
   } else {
     core::ReplicaOptions ro;
@@ -122,7 +122,7 @@ void Cluster::build_replica(ReplicaHandle& handle, core::ReplicaBehavior behavio
     ro.tracer = handle.tracer_;
     ro.metrics = handle.metrics_;
     ro.marker_executor = handle.marker_executor_.get();
-    handle.sbft_ =
+    handle.replica_ =
         std::make_unique<core::SbftReplica>(std::move(ro), opts_.service_factory());
   }
 }

@@ -19,6 +19,7 @@
 #include "pbft/pbft_replica.h"
 #include "recovery/wal.h"
 #include "runtime/replica_runtime.h"
+#include "runtime/replica_shell.h"
 #include "storage/ledger_storage.h"
 
 namespace sbft::harness {
@@ -32,44 +33,33 @@ class ReplicaHandle {
   /// harness uses (never hand-compute r - 1).
   NodeId node() const { return node_; }
 
-  core::SbftReplica* sbft() const { return sbft_.get(); }
-  pbft::PbftReplica* pbft() const { return pbft_.get(); }
-  sim::IActor* actor() const {
-    return sbft_ ? static_cast<sim::IActor*>(sbft_.get())
-                 : static_cast<sim::IActor*>(pbft_.get());
+  /// The engine behind this slot, as its shared shell; sbft()/pbft() give the
+  /// typed engine (null when the slot runs the other protocol).
+  runtime::ReplicaShell* actor() const { return replica_.get(); }
+  core::SbftReplica* sbft() const {
+    return dynamic_cast<core::SbftReplica*>(replica_.get());
+  }
+  pbft::PbftReplica* pbft() const {
+    return dynamic_cast<pbft::PbftReplica*>(replica_.get());
   }
 
   // --- uniform introspection -------------------------------------------------
-  ViewNum view() const { return sbft_ ? sbft_->view() : pbft_->view(); }
-  SeqNum last_executed() const {
-    return sbft_ ? sbft_->last_executed() : pbft_->last_executed();
-  }
-  SeqNum last_stable() const {
-    return sbft_ ? sbft_->last_stable() : pbft_->last_stable();
-  }
-  const IService& service() const {
-    return sbft_ ? sbft_->service() : pbft_->service();
-  }
-  const runtime::ReplicaRuntime& runtime() const {
-    return sbft_ ? sbft_->runtime() : pbft_->runtime();
-  }
+  ViewNum view() const { return replica_->view(); }
+  SeqNum last_executed() const { return replica_->last_executed(); }
+  SeqNum last_stable() const { return replica_->last_stable(); }
+  const IService& service() const { return replica_->service(); }
+  const runtime::ReplicaRuntime& runtime() const { return replica_->runtime(); }
   const runtime::RuntimeStats& runtime_stats() const { return runtime().stats(); }
-  uint64_t view_changes() const {
-    return sbft_ ? sbft_->stats().view_changes : pbft_->stats().view_changes;
-  }
+  uint64_t view_changes() const { return replica_->view_changes(); }
   std::optional<Digest> committed_digest_of(SeqNum s) const {
-    return sbft_ ? sbft_->committed_digest_of(s) : pbft_->committed_digest_of(s);
+    return replica_->committed_digest_of(s);
   }
 
   /// Visits every protocol + runtime counter as (name, value) — the generic
   /// path metrics collection walks instead of copying fields one by one.
   template <typename Fn>
   void for_each_stat(Fn&& fn) const {
-    if (sbft_) {
-      sbft_->stats().for_each(fn);
-    } else {
-      pbft_->stats().for_each(fn);
-    }
+    replica_->for_each_stat(fn);
   }
 
   // --- durable storage (outlives replica incarnations) -----------------------
@@ -92,8 +82,7 @@ class ReplicaHandle {
 
   ReplicaId id_ = 0;
   NodeId node_ = 0;
-  std::unique_ptr<core::SbftReplica> sbft_;
-  std::unique_ptr<pbft::PbftReplica> pbft_;
+  std::unique_ptr<runtime::ReplicaShell> replica_;
   std::shared_ptr<storage::ILedgerStorage> ledger_;
   std::shared_ptr<recovery::IReplicaWal> wal_;
   std::shared_ptr<obs::Tracer> tracer_;

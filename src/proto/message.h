@@ -372,18 +372,6 @@ struct CheckpointSigShare {
   Bytes sig;
 };
 
-/// Monolithic reply: the whole snapshot envelope in one message. Legacy path,
-/// used when ProtocolConfig::state_transfer_chunk_size == 0; the chunked
-/// protocol below replaces it everywhere else (docs/state_transfer.md).
-struct StateTransferReplyMsg {
-  SeqNum seq = 0;  // checkpoint being shipped
-  ExecCertificate cert;
-  Bytes service_snapshot;
-  // PBFT weak checkpoint certificate (f+1..2f+1 CheckpointSigShare); empty
-  // under SBFT.
-  std::vector<CheckpointSigShare> checkpoint_proof;
-};
-
 // --- chunked state transfer (docs/state_transfer.md is the normative spec) --
 
 /// Donor -> fetcher: describes the chunked form of the donor's shippable
@@ -496,7 +484,7 @@ using Message = std::variant<
     PrepareMsg, CommitShareMsg, FullCommitProofSlowMsg, SignStateMsg,
     FullExecuteProofMsg, ExecuteAckMsg, ClientReplyMsg, ViewChangeMsg,
     NewViewMsg, GetBlockRequestMsg, GetBlockReplyMsg, StateTransferRequestMsg,
-    StateTransferReplyMsg, StateManifestMsg, StateChunkRequestMsg, StateChunkMsg,
+    StateManifestMsg, StateChunkRequestMsg, StateChunkMsg,
     PbftPrepareMsg, PbftCommitMsg, PbftCheckpointMsg,
     PbftViewChangeMsg, PbftNewViewMsg, ReconfigBlockMsg,
     TxVoteMsg, TxDecisionMsg, TxResultMsg>;

@@ -270,8 +270,8 @@ bool ReplicaRuntime::adopt_checkpoint(const ExecCertificate& cert,
 
   service_ = std::move(fresh);
   le_ = cert.seq;
-  // The snapshot's cache can only be newer than ours, but a legacy envelope
-  // carries none — keep our own entries where they win.
+  // Merge the snapshot's cache into ours, keeping our own entries where they
+  // are newer.
   replies_.absorb(std::move(decoded->replies));
   // The membership section moves the roster forward (never back): a joining
   // replica learns the epoch that admitted it from the snapshot itself, and a

@@ -95,7 +95,7 @@ StateTransferRequestMsg StateTransferManager::make_probe(
   StateTransferRequestMsg req;
   req.requester = self;
   req.have_seq = last_executed;
-  if (chunked() && delta_enabled_ && cp.has_shippable()) {
+  if (delta_enabled_ && cp.has_shippable()) {
     const ChunkedSnapshot* base = donor_snapshot(cp);
     probe_base_seq_ = cp.snapshot_cert().seq;
     probe_base_root_ = base->transfer_root();
@@ -447,7 +447,7 @@ const ChunkedSnapshot* StateTransferManager::donor_snapshot(
 bool StateTransferManager::note_checkpoint(const CheckpointManager& cp) {
   // Eager sealing only buys the delta-base history; with delta off the lazy
   // cold-probe rebuild (charged at manifest time) is strictly cheaper.
-  if (!chunked() || !delta_enabled_ || !cp.has_shippable()) return false;
+  if (!delta_enabled_ || !cp.has_shippable()) return false;
   if (donor_seq_ == cp.snapshot_cert().seq && donor_chunks_) return false;
   donor_snapshot(cp);
   return true;
@@ -456,8 +456,7 @@ bool StateTransferManager::note_checkpoint(const CheckpointManager& cp) {
 std::optional<StateManifestMsg> StateTransferManager::make_manifest(
     const CheckpointManager& cp, const StateTransferRequestMsg& probe,
     ReplicaId self) {
-  if (!chunked() || !cp.has_shippable() ||
-      cp.snapshot_cert().seq <= probe.have_seq) {
+  if (!cp.has_shippable() || cp.snapshot_cert().seq <= probe.have_seq) {
     return std::nullopt;
   }
   const ChunkedSnapshot* snap = donor_snapshot(cp);
@@ -524,7 +523,7 @@ std::vector<StateChunkMsg> StateTransferManager::make_chunks(
     const CheckpointManager& cp, const StateChunkRequestMsg& req, ReplicaId self,
     RuntimeStats& stats, NodeId requester_node) {
   std::vector<StateChunkMsg> out;
-  if (!chunked() || !cp.has_shippable() || cp.snapshot_cert().seq != req.seq) {
+  if (!cp.has_shippable() || cp.snapshot_cert().seq != req.seq) {
     return out;  // checkpoint advanced past the request: fetcher re-probes
   }
   const ChunkedSnapshot* snap = donor_snapshot(cp);

@@ -39,6 +39,7 @@
 #include <set>
 #include <vector>
 
+#include "common/check.h"
 #include "merkle/merkle_tree.h"
 #include "proto/message.h"
 
@@ -92,7 +93,7 @@ class ChunkedSnapshot {
 };
 
 /// Fetcher + donor state machine for chunked state transfer. Owned by
-/// ReplicaRuntime; driven by the ordering engines.
+/// ReplicaRuntime; driven by runtime::ReplicaShell. `chunk_size` must be > 0.
 class StateTransferManager {
  public:
   explicit StateTransferManager(uint32_t chunk_size,
@@ -104,7 +105,9 @@ class StateTransferManager {
         max_chunks_per_request_(max_chunks_per_request ? max_chunks_per_request : 1),
         donor_chunks_per_tick_(donor_chunks_per_tick),
         delta_enabled_(delta_enabled),
-        delta_history_(delta_history ? delta_history : 1) {}
+        delta_history_(delta_history ? delta_history : 1) {
+    SBFT_CHECK(chunk_size_ > 0);
+  }
 
   /// Delta bases retained per donor (ProtocolConfig::state_transfer_delta_history).
   size_t delta_history() const { return delta_history_; }
@@ -112,9 +115,6 @@ class StateTransferManager {
   /// Default delta-base retention: a fetcher whose base is older than this
   /// many checkpoints behind a donor falls back to a full-chunked manifest.
   static constexpr size_t kDefaultDonorHistory = 16;
-
-  /// Chunking enabled? (false => the legacy monolithic reply is used).
-  bool chunked() const { return chunk_size_ > 0; }
 
   // --- fetcher ---------------------------------------------------------------
 

@@ -150,15 +150,16 @@ TEST(Messages, StateTransferRoundTrips) {
   probe.base_seq = 32;
   probe.base_root = random_digest();
   expect_roundtrip(Message(probe));
-  StateTransferReplyMsg reply;
-  reply.seq = 128;
-  reply.cert = random_cert();
-  reply.service_snapshot = rng().bytes(500);
-  expect_roundtrip(Message(reply));
-  // With a PBFT quorum checkpoint certificate attached.
-  reply.checkpoint_proof = {{1, rng().bytes(32)}, {2, rng().bytes(32)},
-                            {4, rng().bytes(32)}};
-  expect_roundtrip(Message(reply));
+}
+
+TEST(Messages, RetiredStateTransferReplyTagIsMalformed) {
+  // Tag 17 carried the monolithic state-transfer reply; the byte is retired
+  // and decodes as malformed, whatever follows it.
+  EXPECT_FALSE(decode_message(Bytes{17}).has_value());
+  Bytes with_body = {17};
+  Bytes tail = rng().bytes(64);
+  with_body.insert(with_body.end(), tail.begin(), tail.end());
+  EXPECT_FALSE(decode_message(as_span(with_body)).has_value());
 }
 
 TEST(Messages, ChunkedStateTransferRoundTrips) {

@@ -279,32 +279,6 @@ TEST(RecoveryManagerTest, SnapshotPlusSuffixMatchesFullReplay) {
   EXPECT_EQ(recovered->reply_cache.find(7)->timestamp, 6u);
 }
 
-TEST(RecoveryManagerTest, LegacyBareSnapshotStillRecovers) {
-  // WALs written before the snapshot envelope carry the raw service
-  // snapshot; recovery must keep accepting them (with an empty cache).
-  auto ledger = std::make_shared<storage::MemoryLedgerStorage>();
-  for (SeqNum s = 1; s <= 4; ++s) {
-    ledger->append_block(s, as_span(encoded_block(s, 0, 9, s)));
-  }
-  auto factory = [] { return std::make_unique<harness::FastKvService>(); };
-  RecoveryManager prefix(ledger, nullptr);
-  auto half = prefix.recover(factory);
-  ASSERT_TRUE(half.has_value());
-  auto service2 = factory();
-  for (SeqNum s = 1; s <= 2; ++s) {
-    service2->execute(as_span(half->replayed[s - 1].block.requests[0].op));
-  }
-  auto wal = std::make_shared<MemoryWal>();
-  wal->record_checkpoint(half->replayed[1].cert, as_span(service2->snapshot()));
-
-  RecoveryManager manager(ledger, wal);
-  auto recovered = manager.recover(factory);
-  ASSERT_TRUE(recovered.has_value());
-  EXPECT_EQ(recovered->last_stable, 2u);
-  EXPECT_EQ(recovered->last_executed, 4u);
-  EXPECT_EQ(recovered->service->state_digest(), half->service->state_digest());
-}
-
 TEST(RecoveryManagerTest, CorruptSnapshotAbortsRecovery) {
   auto wal = std::make_shared<MemoryWal>();
   ExecCertificate cp = make_cert(4);  // state_root matches nothing

@@ -11,13 +11,14 @@ compatibility, or reconfiguration safety:
                snapshot, or trace breaks byte-identical fuzzer replays (PR 8)
                and the cores=1-vs-8 identical-trace guarantee (PR 7).
   entropy      All of src/ draws randomness only through common::Rng and
-               never reads wall clocks as input (generalizes the old
-               tools/check_randomness.py from src/fuzz to the whole tree).
+               never reads wall clocks as input (generalizes the former
+               src/fuzz-only randomness audit to the whole tree).
   epoch_math   Slot-scoped protocol code must resolve rosters and quorums via
                epoch_for_seq(s); every direct config/f/c/n/quorum read in the
-               ordering engines needs a justification naming its scope
-               (boot, view-change, or epoch-derived parameter).
-  wire_format  Wire Tag values are unique and dense, every Tag maps to a
+               ordering engines and the replica shell they share needs a
+               justification naming its scope (boot, view-change, or
+               epoch-derived parameter).
+  wire_format  Wire Tag values are unique, every Tag maps to a
                Message variant alternative and vice versa, every message type
                is serde-round-tripped in tests/message_test.cpp, and the
                ExperimentPoint bench cache bumps kCacheVersion whenever the
@@ -148,7 +149,8 @@ EPOCH_MATH_RES = [
                 r"exec_quorum|n)\s*\("),
      "current-epoch roster/quorum read"),
 ]
-ENGINE_DIRS = ("src/core/", "src/pbft/")
+ENGINE_DIRS = ("src/core/", "src/pbft/", "src/runtime/replica_shell.h",
+               "src/runtime/replica_shell.cpp")
 
 
 def check_epoch_math(root: Path) -> int:
