@@ -1,6 +1,7 @@
 #include "core/replica.h"
 
 #include <algorithm>
+#include <set>
 
 #include "crypto/sha256.h"
 

@@ -13,7 +13,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 
 #include "core/crypto_context.h"
 #include "core/view_change.h"
