@@ -31,8 +31,8 @@ Bytes tag_bytes(uint8_t tag, const Bytes& instance_id, uint32_t signer) {
 
 class SimBlsVerifier final : public IThresholdVerifier {
  public:
-  SimBlsVerifier(Bytes master_key, Bytes instance_id, uint32_t n, uint32_t k)
-      : key_(std::move(master_key)), id_(std::move(instance_id)), n_(n), k_(k) {}
+  SimBlsVerifier(const Bytes& master_key, Bytes instance_id, uint32_t n, uint32_t k)
+      : mac_(as_span(master_key)), id_(std::move(instance_id)), n_(n), k_(k) {}
 
   uint32_t threshold() const override { return k_; }
   uint32_t num_signers() const override { return n_; }
@@ -40,16 +40,14 @@ class SimBlsVerifier final : public IThresholdVerifier {
   size_t signature_size() const override { return kBlsSize; }
 
   Bytes make_share(uint32_t signer, const Digest& digest) const {
-    Digest mac = hmac_sha256(as_span(key_),
-                             {as_span(tag_bytes(1, id_, signer)), as_span(digest)});
+    Digest mac = mac_.mac({as_span(tag_bytes(1, id_, signer)), as_span(digest)});
     Bytes out(mac.begin(), mac.end());
     out.push_back(0x02);  // pad to the BLS compressed size
     return out;
   }
 
   Bytes make_signature(const Digest& digest) const {
-    Digest mac =
-        hmac_sha256(as_span(key_), {as_span(tag_bytes(2, id_, 0)), as_span(digest)});
+    Digest mac = mac_.mac({as_span(tag_bytes(2, id_, 0)), as_span(digest)});
     Bytes out(mac.begin(), mac.end());
     out.push_back(0x03);
     return out;
@@ -82,7 +80,7 @@ class SimBlsVerifier final : public IThresholdVerifier {
   }
 
  private:
-  Bytes key_;
+  HmacSha256 mac_;  // keyed with the master key
   Bytes id_;
   uint32_t n_;
   uint32_t k_;

@@ -52,9 +52,15 @@ std::vector<std::string> audit_reply_caches(
     for (size_t j = i + 1; j < caches.size(); ++j) {
       const auto& [rb, cb] = caches[j];
       if (cb == nullptr) continue;
+      // Both maps are client-ordered: walk them in lockstep rather than
+      // descending cb's tree once per entry of ca.
+      auto ib = cb->entries().begin();
+      const auto b_end = cb->entries().end();
       for (const auto& [client, ea] : ca->entries()) {
-        const runtime::CachedReply* eb = cb->find(client);
-        if (eb == nullptr) continue;
+        while (ib != b_end && ib->first < client) ++ib;
+        if (ib == b_end) break;
+        if (ib->first != client) continue;
+        const runtime::CachedReply* eb = &ib->second;
         if (ea.timestamp == eb->timestamp) {
           if (ea.seq != eb->seq || ea.value != eb->value) {
             violations.push_back(

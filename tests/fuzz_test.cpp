@@ -305,6 +305,31 @@ TEST(ReplyCacheAudit, NewerTimestampAtOlderSeqFlagged) {
   EXPECT_FALSE(harness::audit_reply_caches({{1, &a}, {2, &b}}).empty());
 }
 
+TEST(ReplyCacheAudit, DisjointClientSetsPass) {
+  // The audit walks both client-ordered caches in lockstep; clients held by
+  // only one side (interleaved, and on either side of the other's range)
+  // have nothing to compare.
+  runtime::ReplyCache a;
+  runtime::ReplyCache b;
+  for (ClientId c : {1u, 3u, 5u, 40u}) a.store(c, 5, 10 + c, 0, {1});
+  for (ClientId c : {0u, 2u, 4u, 6u}) b.store(c, 9, 2, 0, {2});
+  EXPECT_TRUE(harness::audit_reply_caches({{1, &a}, {2, &b}}).empty());
+  EXPECT_TRUE(harness::audit_reply_caches({{2, &b}, {1, &a}}).empty());
+
+  // Shared clients among disjoint ones are still compared, in client order.
+  a.store(7, 5, 10, 0, {1});
+  b.store(7, 5, 11, 0, {1});
+  a.store(9, 5, 10, 0, {1});
+  b.store(9, 7, 4, 0, {2});
+  EXPECT_EQ(harness::audit_reply_caches({{1, &a}, {2, &b}}),
+            (std::vector<std::string>{
+                "reply-cache: client 7 timestamp 5: replica 1 cached (seq 10) "
+                "but replica 2 cached (seq 11) with equal values",
+                "reply-cache: client 9 timestamp 7 executed at seq 4 before "
+                "timestamp 5 at seq 10 (ordering inverted between replicas 1 "
+                "and 2)"}));
+}
+
 // ---------------------------------------------------------------------------
 // Fixed-seed smoke campaign (the per-push CI gate)
 
