@@ -134,16 +134,16 @@ NodeId Network::add_node(IActor* actor, uint32_t region) {
 void Network::start() {
   for (NodeId id = 0; id < num_nodes(); ++id) {
     sim_.schedule(0, [this, id] {
-      run_handler(id, sim_.now(),
-                  [this, id](ActorContext& ctx) { nodes_[id].actor->on_start(ctx); });
+      run(id, sim_.now(),
+          Work([this, id](ActorContext& ctx) { nodes_[id].actor->on_start(ctx); }));
     });
   }
 }
 
 void Network::start_node(NodeId node) {
   sim_.schedule(sim_.now(), [this, node] {
-    run_handler(node, sim_.now(),
-                [this, node](ActorContext& ctx) { nodes_[node].actor->on_start(ctx); });
+    run(node, sim_.now(),
+        Work([this, node](ActorContext& ctx) { nodes_[node].actor->on_start(ctx); }));
   });
 }
 
@@ -163,8 +163,8 @@ void Network::restart(NodeId node, IActor* actor) {
   state.uplink_busy = sim_.now();
   state.downlink_busy = sim_.now();
   sim_.schedule(sim_.now(), [this, node] {
-    run_handler(node, sim_.now(),
-                [this, node](ActorContext& ctx) { nodes_[node].actor->on_start(ctx); });
+    run(node, sim_.now(),
+        Work([this, node](ActorContext& ctx) { nodes_[node].actor->on_start(ctx); }));
   });
 }
 
@@ -192,11 +192,10 @@ void Network::offload(NodeId node, int64_t cost_us,
   if (state.lane_busy.size() <= 1) {
     // Single lane: queue the work as an ordinary serial handler.
     ++state.offloads_run;
-    run_handler(node, sim_.now(),
-                [cost_us, done = std::move(done)](ActorContext& ctx) {
-                  ctx.charge(cost_us);
-                  done(ctx);
-                });
+    run(node, sim_.now(), Work([cost_us, done = std::move(done)](ActorContext& ctx) {
+          ctx.charge(cost_us);
+          done(ctx);
+        }));
     return;
   }
   dispatch_offload(node, cost_us, std::move(done), sim_.now());
@@ -222,7 +221,7 @@ void Network::dispatch_offload(NodeId node, int64_t cost_us, Handler done,
     // The completion continues the protocol state machine, so it re-enters
     // the serial lane — and dies if the incarnation that queued it did.
     if (nodes_[node].crashed || nodes_[node].incarnation != inc) return;
-    run_handler(node, sim_.now(), std::move(done));
+    run(node, sim_.now(), Work(std::move(done)));
   });
 }
 
@@ -286,22 +285,27 @@ MessageStats Network::total_stats() const {
 
 void Network::reset_stats() { stats_.fill(MessageStats{}); }
 
-void Network::run_handler(NodeId node, SimTime at, Handler fn) {
+void Network::run(NodeId node, SimTime at, Work work) {
   NodeState& state = nodes_[node];
   if (state.crashed) return;
   if (state.lane_busy[0] > at || !state.cpu_queue.empty()) {
     // Serial lane busy: enqueue FIFO and make sure a drain fires when it
     // frees up.
-    state.cpu_queue.push_back(std::move(fn));
+    state.cpu_queue.push_back(std::move(work));
     schedule_drain(node, std::max(state.lane_busy[0], at));
     return;
   }
-  execute_handler(node, at, fn);
+  execute(node, at, work);
 }
 
-void Network::execute_handler(NodeId node, SimTime at, const Handler& fn) {
+void Network::execute(NodeId node, SimTime at, Work& work) {
   ActorContext ctx(*this, node, at);
-  fn(ctx);
+  if (work.msg) {
+    ctx.charge(costs_.msg_overhead_us);
+    nodes_[node].actor->on_message(work.from, *work.msg, ctx);
+  } else {
+    work.fn(ctx);
+  }
   flush(node, ctx);
 }
 
@@ -324,9 +328,9 @@ void Network::drain(NodeId node) {
     schedule_drain(node, state.lane_busy[0]);
     return;
   }
-  Handler fn = std::move(state.cpu_queue.front());
+  Work work = std::move(state.cpu_queue.front());
   state.cpu_queue.pop_front();
-  execute_handler(node, sim_.now(), fn);
+  execute(node, sim_.now(), work);
   if (!state.cpu_queue.empty()) schedule_drain(node, state.lane_busy[0]);
 }
 
@@ -365,9 +369,9 @@ void Network::flush(NodeId node, ActorContext& ctx) {
     uint64_t inc = state.incarnation;
     sim_.schedule(done + t.delay_us, [this, node, id, inc] {
       if (nodes_[node].incarnation != inc) return;
-      run_handler(node, sim_.now(), [this, node, id](ActorContext& c) {
-        nodes_[node].actor->on_timer(id, c);
-      });
+      run(node, sim_.now(), Work([this, node, id](ActorContext& c) {
+            nodes_[node].actor->on_timer(id, c);
+          }));
     });
   }
 }
@@ -413,24 +417,40 @@ void Network::transmit(NodeId from, NodeId to, MessagePtr msg, size_t wire_size,
 
 void Network::deliver(NodeId from, NodeId to, MessagePtr msg, size_t wire_size,
                       SimTime arrival) {
-  sim_.schedule(arrival, [this, from, to, msg = std::move(msg), wire_size] {
-    NodeState& dst = nodes_[to];
-    if (dst.crashed) return;
-    // Downlink serialization at the receiver.
-    SimTime rx_start = std::max(sim_.now(), dst.downlink_busy);
-    int64_t rx = static_cast<int64_t>(static_cast<double>(wire_size) /
-                                      topology_.bandwidth_bytes_per_us);
-    SimTime ready = rx_start + rx;
-    dst.downlink_busy = ready;
-    sim_.schedule(ready, [this, from, to, msg] {
-      // msg captured by value: run_handler may re-schedule the closure if the
-      // target CPU is busy, so the payload must outlive this event.
-      run_handler(to, sim_.now(), [this, from, to, msg](ActorContext& ctx) {
-        ctx.charge(costs_.msg_overhead_us);
-        nodes_[to].actor->on_message(from, *msg, ctx);
-      });
-    });
+  uint32_t slot = static_cast<uint32_t>(in_flight_.size());
+  if (free_in_flight_.empty()) {
+    in_flight_.emplace_back();
+  } else {
+    slot = free_in_flight_.back();
+    free_in_flight_.pop_back();
+  }
+  // A slot owns its payload from here until release(), which moves it out.
+  in_flight_[slot] = InFlight{from, to, std::move(msg), wire_size};
+  sim_.schedule(arrival, [this, slot] { arrive(slot); });
+}
+
+void Network::arrive(uint32_t slot) {
+  const InFlight& m = in_flight_[slot];
+  NodeState& dst = nodes_[m.to];
+  if (dst.crashed) {
+    release(slot);
+    return;
+  }
+  // Downlink serialization at the receiver.
+  SimTime rx_start = std::max(sim_.now(), dst.downlink_busy);
+  int64_t rx = static_cast<int64_t>(static_cast<double>(m.wire_size) /
+                                    topology_.bandwidth_bytes_per_us);
+  SimTime ready = rx_start + rx;
+  dst.downlink_busy = ready;
+  sim_.schedule(ready, [this, slot] {
+    auto [from, to, msg, wire_size] = release(slot);
+    run(to, sim_.now(), Work(from, std::move(msg)));
   });
+}
+
+Network::InFlight Network::release(uint32_t slot) {
+  free_in_flight_.push_back(slot);
+  return std::move(in_flight_[slot]);
 }
 
 }  // namespace sbft::sim

@@ -222,6 +222,25 @@ class Network {
 
   using Handler = std::function<void(ActorContext&)>;
 
+  // One unit of serial-lane work: a delivered message (`msg` set), or a
+  // handler (timers, on_start, offload completions).
+  struct Work {
+    explicit Work(Handler f) : fn(std::move(f)) {}
+    Work(NodeId f, MessagePtr m) : from(f), msg(std::move(m)) {}
+    NodeId from = 0;
+    MessagePtr msg;
+    Handler fn;
+  };
+
+  // A message between transmit and its dispatch. The arrival and
+  // downlink-ready events carry only the slot index.
+  struct InFlight {
+    NodeId from = 0;
+    NodeId to = 0;
+    MessagePtr msg;
+    size_t wire_size = 0;
+  };
+
   struct NodeState {
     IActor* actor = nullptr;
     uint32_t region = 0;
@@ -234,8 +253,8 @@ class Network {
     std::vector<SimTime> lane_busy{0};
     SimTime uplink_busy = 0;
     SimTime downlink_busy = 0;
-    // FIFO of handlers waiting for the node's serial lane.
-    std::deque<Handler> cpu_queue;
+    // FIFO of work waiting for the node's serial lane.
+    std::deque<Work> cpu_queue;
     bool drain_scheduled = false;
     uint64_t incarnation = 0;  // bumped by restart(); gates stale timers
     std::vector<int64_t> lane_used_us{0};  // cumulative charged CPU per lane
@@ -248,8 +267,10 @@ class Network {
                 SimTime depart);
   void deliver(NodeId from, NodeId to, MessagePtr msg, size_t wire_size,
                SimTime arrival);
-  void run_handler(NodeId node, SimTime at, Handler fn);
-  void execute_handler(NodeId node, SimTime at, const Handler& fn);
+  void arrive(uint32_t slot);
+  InFlight release(uint32_t slot);
+  void run(NodeId node, SimTime at, Work work);
+  void execute(NodeId node, SimTime at, Work& work);
   void dispatch_offload(NodeId node, int64_t cost_us, Handler done,
                         SimTime earliest);
   void schedule_drain(NodeId node, SimTime at);
@@ -260,6 +281,8 @@ class Network {
   Topology topology_;
   CostModel costs_;
   std::vector<NodeState> nodes_;
+  std::vector<InFlight> in_flight_;
+  std::vector<uint32_t> free_in_flight_;
   std::set<std::pair<NodeId, NodeId>> cut_links_;
   std::set<std::pair<NodeId, NodeId>> blocked_links_;  // directional
   std::map<std::pair<NodeId, NodeId>, int64_t> link_extra_delay_;

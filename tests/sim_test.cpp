@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <queue>
+#include <tuple>
+
+#include "common/rng.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 
@@ -48,6 +52,144 @@ TEST(Simulator, RunUntilStopsAtBoundary) {
   EXPECT_EQ(sim.now(), 150);
   sim.run_until(250);
   EXPECT_EQ(fired, 2);
+}
+
+// Reference event queue: a binary heap on (at, seq), the order the wheel must
+// reproduce exactly.
+class ReferenceSimulator {
+ public:
+  SimTime now() const { return now_; }
+  uint64_t events_processed() const { return processed_; }
+  bool idle() const { return queue_.empty(); }
+  void schedule(SimTime at, std::function<void()> fn) {
+    queue_.push(Event{at, next_seq_++, std::move(fn)});
+  }
+  bool step() {
+    if (queue_.empty()) return false;
+    Event ev = std::move(const_cast<Event&>(queue_.top()));
+    queue_.pop();
+    now_ = ev.at;
+    ++processed_;
+    ev.fn();
+    return true;
+  }
+  void run_until(SimTime t) {
+    while (!queue_.empty() && queue_.top().at <= t) step();
+    if (now_ < t) now_ = t;
+  }
+
+ private:
+  struct Event {
+    SimTime at;
+    uint64_t seq;
+    std::function<void()> fn;
+    bool operator>(const Event& o) const {
+      return std::tie(at, seq) > std::tie(o.at, o.seq);
+    }
+  };
+  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;
+  SimTime now_ = 0;
+  uint64_t next_seq_ = 0;
+  uint64_t processed_ = 0;
+};
+
+struct Fired {
+  uint64_t id;
+  SimTime at;
+  bool operator==(const Fired&) const = default;
+};
+
+// Drives `sim` with one Rng stream: same-time ties, delays on both sides of
+// the wheel edge, far timers of seconds, scheduling from inside callbacks,
+// and run_until() over windows where only far events are pending. Returns
+// the order events fired in.
+template <typename Sim>
+std::vector<Fired> drive(Sim& sim, uint64_t seed, uint64_t total_events) {
+  constexpr SimTime kSpan = SimTime{1} << 15;
+  Rng rng(seed);
+  std::vector<Fired> fired;
+  uint64_t scheduled = 0;
+  auto delay = [&]() -> SimTime {
+    switch (rng.below(10)) {
+      case 0: return 0;
+      case 1: return static_cast<SimTime>(rng.below(4));
+      case 2: {
+        const SimTime edges[] = {kSpan - 1, kSpan, kSpan + 1};
+        return edges[rng.below(3)];
+      }
+      case 3: return static_cast<SimTime>(1'000'000 + rng.below(2'000'000));
+      default: return static_cast<SimTime>(150 + rng.below(22'000));
+    }
+  };
+  std::function<void(uint64_t)> fire = [&](uint64_t id) {
+    fired.push_back({id, sim.now()});
+    uint64_t children = rng.below(10) == 0 ? 2 : 1;
+    for (uint64_t c = 0; c < children && scheduled < total_events; ++c) {
+      uint64_t child = scheduled++;
+      sim.schedule(sim.now() + delay(), [&fire, child] { fire(child); });
+    }
+  };
+  auto seed_events = [&](uint64_t count) {
+    for (uint64_t i = 0; i < count && scheduled < total_events; ++i) {
+      uint64_t id = scheduled++;
+      sim.schedule(sim.now() + delay(), [&fire, id] { fire(id); });
+    }
+  };
+  seed_events(2000);
+  while (!sim.idle()) {
+    if (rng.below(4) == 0) {
+      sim.run_until(sim.now() + static_cast<SimTime>(rng.below(3 * kSpan)));
+      seed_events(rng.below(4));  // scheduled from outside any callback
+    } else {
+      sim.step();
+    }
+    if (sim.idle() && scheduled < total_events) {
+      // Only far events pending: run_until() must stop the clock at t, not
+      // jump to the far event, and time-t events still run.
+      uint64_t id = scheduled++;
+      sim.schedule(sim.now() + 2'000'000, [&fire, id] { fire(id); });
+      SimTime t = sim.now() + kSpan + static_cast<SimTime>(rng.below(kSpan));
+      sim.run_until(t);
+      EXPECT_EQ(sim.now(), t);
+      seed_events(2000);
+    }
+  }
+  return fired;
+}
+
+TEST(Simulator, WheelMatchesReferenceHeapOrder) {
+  for (uint64_t seed : {1u, 2u}) {
+    constexpr uint64_t kEvents = 120'000;
+    Simulator sim;
+    ReferenceSimulator ref;
+    std::vector<Fired> got = drive(sim, seed, kEvents);
+    std::vector<Fired> want = drive(ref, seed, kEvents);
+    ASSERT_EQ(want.size(), kEvents);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "seed " << seed << ", event " << i;
+    }
+    EXPECT_EQ(sim.events_processed(), ref.events_processed());
+    EXPECT_EQ(sim.now(), ref.now());
+  }
+}
+
+TEST(Simulator, RunUntilWithOnlyFarEventsStopsAtTheBound) {
+  Simulator sim;
+  std::vector<int> fired;
+  sim.schedule(5'000'000, [&] { fired.push_back(1); });
+  sim.run_until(1'000'000);
+  EXPECT_EQ(sim.now(), 1'000'000);
+  sim.run_until(4'990'000);
+  EXPECT_EQ(sim.now(), 4'990'000);
+  EXPECT_TRUE(fired.empty());
+  // The far event is now inside the window. One scheduled later at the same
+  // time must still run after it.
+  sim.schedule(5'000'000, [&] { fired.push_back(2); });
+  sim.schedule(4'999'999, [&] { fired.push_back(0); });
+  sim.run_until_idle();
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(sim.now(), 5'000'000);
 }
 
 // ---------------------------------------------------------------------------
@@ -310,6 +452,91 @@ TEST(Network, StaleTimersDieWithTheCrashedIncarnation) {
   // Only the new incarnation's timer fired (at ~7000), never the stale one.
   ASSERT_EQ(actor.fired.size(), 1u);
   EXPECT_GE(actor.fired[0], 7000);
+}
+
+// The in-flight slab and the serial-lane queue must not keep a payload alive
+// once its message is dispatched or dropped: the sender's reference is the
+// last one left when the simulation goes idle.
+struct PayloadSender : IActor {
+  NodeId target = 0;
+  const MessagePtr* msg = nullptr;
+  int copies = 1;
+  void on_start(ActorContext& ctx) override {
+    for (int i = 0; i < copies; ++i) ctx.send(target, *msg);
+  }
+  void on_message(NodeId, const Message&, ActorContext&) override {}
+};
+
+TEST(Network, DispatchedPayloadIsReleased) {
+  Simulator sim;
+  Network net(sim, lan_topology(), CostModel{});
+  MessagePtr msg = make_message(ClientRequestMsg{});
+  PayloadSender sender;
+  Recorder recorder;
+  sender.msg = &msg;
+  net.add_node(&sender);
+  sender.target = net.add_node(&recorder);
+  net.start();
+  sim.run_until_idle();
+  ASSERT_EQ(recorder.received.size(), 1u);
+  EXPECT_EQ(msg.use_count(), 1);
+}
+
+TEST(Network, PayloadOfCrashedReceiverIsReleased) {
+  // A slow link, so downlink serialization spans thousands of microseconds.
+  Topology slow = lan_topology();
+  slow.jitter_us = 1;
+  slow.bandwidth_bytes_per_us = 0.01;
+  MessagePtr msg = make_message(ClientRequestMsg{});
+  // Uplink serialization plus propagation brings the message in at
+  // `arrival`; the downlink then needs `serialize` more before dispatch.
+  int64_t serialize = static_cast<int64_t>(
+      static_cast<double>(message_wire_size(*msg)) / slow.bandwidth_bytes_per_us);
+  ASSERT_GT(serialize, 2);
+  SimTime arrival = serialize + 1 + slow.region_latency_us[0][0];
+  // The receiver crashes before arrival, or between arrival and the end of
+  // its downlink serialization.
+  for (SimTime crash_at : {arrival - 1, arrival + serialize / 2}) {
+    Simulator sim;
+    Network net(sim, slow, CostModel{});
+    PayloadSender sender;
+    Recorder recorder;
+    sender.msg = &msg;
+    net.add_node(&sender);
+    NodeId receiver = net.add_node(&recorder);
+    sender.target = receiver;
+    net.start();
+    sim.run_until(crash_at);
+    EXPECT_EQ(msg.use_count(), 2);  // in flight
+    net.crash(receiver);
+    sim.run_until_idle();
+    EXPECT_TRUE(recorder.received.empty());
+    EXPECT_EQ(msg.use_count(), 1) << "crash at " << crash_at;
+  }
+}
+
+TEST(Network, PayloadQueuedOnBusyLaneIsReleasedByRestart) {
+  Simulator sim;
+  Network net(sim, lan_topology(), CostModel{});
+  MessagePtr msg = make_message(ClientRequestMsg{});
+  PayloadSender sender;
+  sender.copies = 2;
+  Recorder recorder;
+  recorder.cpu_cost = 50'000;  // the first copy keeps the lane busy
+  sender.msg = &msg;
+  net.add_node(&sender);
+  NodeId receiver = net.add_node(&recorder);
+  sender.target = receiver;
+  net.start();
+  sim.run_until(5'000);
+  ASSERT_EQ(recorder.received.size(), 1u);
+  ASSERT_EQ(net.cpu_queue_depth(receiver), 1u);
+  EXPECT_EQ(msg.use_count(), 2);  // the queued second copy
+  net.crash(receiver);
+  net.restart(receiver);
+  sim.run_until_idle();
+  EXPECT_EQ(recorder.received.size(), 1u);
+  EXPECT_EQ(msg.use_count(), 1);
 }
 
 // ---------------------------------------------------------------------------
