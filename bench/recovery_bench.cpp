@@ -185,16 +185,16 @@ WipeRejoinResult measure_wipe_rejoin(ProtocolKind kind, bool evm_state) {
     }
     cluster.run_for(2'000);
   }
-  const runtime::RuntimeStats& st = cluster.replica(3).runtime_stats();
+  const ReplicaHandle& st = cluster.replica(3);
   out.snapshot_bytes = cluster.replica(3).runtime().checkpoints().snapshot().size();
   out.wire_bytes = state_transfer_wire_bytes(cluster) - wire_before;
-  out.chunks_fetched = st.state_transfer_chunks_fetched;
-  out.bytes_transferred = st.state_transfer_bytes_transferred;
-  out.resumes = st.state_transfer_resumes;
+  out.chunks_fetched = st.counter("state_transfer_chunks_fetched");
+  out.bytes_transferred = st.counter("state_transfer_bytes_transferred");
+  out.resumes = st.counter("state_transfer_resumes");
   for (ReplicaId r = 1; r <= cluster.n(); ++r) {
     if (r != 3) {
       out.chunks_served +=
-          cluster.replica(r).runtime_stats().state_transfer_chunks_served;
+          cluster.replica(r).counter("state_transfer_chunks_served");
     }
   }
   return out;
@@ -308,12 +308,12 @@ DeltaRejoinResult measure_delta_rejoin(ProtocolKind kind, bool evm_state,
     }
     cluster.run_for(5'000);
   }
-  const runtime::RuntimeStats& st = cluster.replica(3).runtime_stats();
+  const ReplicaHandle& st = cluster.replica(3);
   out.snapshot_bytes = cluster.replica(3).runtime().checkpoints().snapshot().size();
-  out.bytes_transferred = st.state_transfer_bytes_transferred;
-  out.delta_chunks_skipped = st.delta_chunks_skipped;
-  out.delta_bytes_saved = st.delta_bytes_saved;
-  out.chunks_fetched = st.state_transfer_chunks_fetched;
+  out.bytes_transferred = st.counter("state_transfer_bytes_transferred");
+  out.delta_chunks_skipped = st.counter("delta_chunks_skipped");
+  out.delta_bytes_saved = st.counter("delta_bytes_saved");
+  out.chunks_fetched = st.counter("state_transfer_chunks_fetched");
   return out;
 }
 
@@ -354,7 +354,7 @@ ReconfigResult measure_reconfig(ProtocolKind kind) {
   for (int i = 0; i < 1200; ++i) {
     bool joined = true;
     for (ReplicaId r : {a, b, c}) {
-      joined = joined && cluster.replica(r).runtime_stats().joins_completed == 1;
+      joined = joined && cluster.replica(r).counter("joins_completed") == 1;
     }
     if (joined) {
       out.join_ms =
@@ -369,7 +369,7 @@ ReconfigResult measure_reconfig(ProtocolKind kind) {
   // Shrink back: the joiners leave, f returns to 1.
   cluster.submit_reconfig({}, {a, b, c}, /*new_f=*/1);
   for (int i = 0; i < 1200; ++i) {
-    if (cluster.replica(1).runtime_stats().epochs_activated >= 2) break;
+    if (cluster.replica(1).counter("epochs_activated") >= 2) break;
     cluster.run_for(25'000);
   }
   cluster.run_for(500'000);  // drain in-flight pre-epoch work
@@ -380,13 +380,13 @@ ReconfigResult measure_reconfig(ProtocolKind kind) {
                         cluster.replica(1).last_executed() > before;
 
   for (ReplicaId r = 1; r <= cluster.num_replicas(); ++r) {
-    const runtime::RuntimeStats& st = cluster.replica(r).runtime_stats();
-    out.epochs_activated += st.epochs_activated;
-    out.joins_completed += st.joins_completed;
+    const ReplicaHandle& st = cluster.replica(r);
+    out.epochs_activated += st.counter("epochs_activated");
+    out.joins_completed += st.counter("joins_completed");
   }
   for (ReplicaId r : {a, b, c}) {
     out.joiner_wire_bytes +=
-        cluster.replica(r).runtime_stats().state_transfer_bytes_transferred;
+        cluster.replica(r).counter("state_transfer_bytes_transferred");
   }
   return out;
 }

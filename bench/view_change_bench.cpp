@@ -52,7 +52,7 @@ VcResult measure(uint32_t f, uint32_t c) {
   }
   out.recovery_ms =
       static_cast<double>(cluster.simulator().now() - crash_at) / 1000.0;
-  out.view_changes = cluster.total_view_changes();
+  out.view_changes = cluster.total_counter("view_changes");
   out.agreement = cluster.check_agreement();
   return out;
 }

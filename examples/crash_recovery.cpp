@@ -25,15 +25,14 @@ void print_state(Cluster& cluster, const char* label) {
               static_cast<double>(cluster.simulator().now()) / 1e6);
   for (ReplicaId r = 1; r <= cluster.n(); ++r) {
     const ReplicaHandle& rep = cluster.replica(r);
-    const runtime::RuntimeStats& rt = rep.runtime_stats();
     std::printf("  replica %u: view=%llu last_executed=%llu recoveries=%llu "
                 "replayed=%llu state_transfers=%llu cache_hits=%llu%s\n",
                 r, static_cast<unsigned long long>(rep.view()),
                 static_cast<unsigned long long>(rep.last_executed()),
-                static_cast<unsigned long long>(rt.recoveries),
-                static_cast<unsigned long long>(rt.blocks_replayed),
-                static_cast<unsigned long long>(rt.state_transfers),
-                static_cast<unsigned long long>(rt.reply_cache_hits),
+                static_cast<unsigned long long>(rep.counter("recoveries")),
+                static_cast<unsigned long long>(rep.counter("blocks_replayed")),
+                static_cast<unsigned long long>(rep.counter("state_transfers")),
+                static_cast<unsigned long long>(rep.counter("reply_cache_hits")),
                 cluster.network().crashed(rep.node()) ? "  [crashed]" : "");
   }
 }
@@ -85,7 +84,7 @@ void run_scenario(ProtocolKind kind) {
   print_state(cluster, "replica 3 rebuilt from a peer's checkpoint "
                        "(state_transfers > 0, recoveries stays 0)");
   uint64_t full_rejoin_bytes =
-      cluster.replica(3).runtime_stats().state_transfer_bytes_transferred;
+      cluster.replica(3).counter("state_transfer_bytes_transferred");
 
   std::printf("\n>>> killing replica 3 briefly (disk intact) — it rejoins via "
               "a DELTA transfer\n");
@@ -96,14 +95,16 @@ void run_scenario(ProtocolKind kind) {
   print_state(cluster, "replica 3 back: it advertised the checkpoint it "
                        "already held, seeded the unchanged chunks locally and "
                        "fetched only the delta");
-  const runtime::RuntimeStats& rt = cluster.replica(3).runtime_stats();
+  const ReplicaHandle& rejoined = cluster.replica(3);
   std::printf("\n  wiped rejoin fetched %llu bytes over the wire;\n"
               "  delta rejoin fetched %llu bytes and seeded %llu chunks "
               "(%llu bytes) from the local snapshot\n",
               static_cast<unsigned long long>(full_rejoin_bytes),
-              static_cast<unsigned long long>(rt.state_transfer_bytes_transferred),
-              static_cast<unsigned long long>(rt.delta_chunks_skipped),
-              static_cast<unsigned long long>(rt.delta_bytes_saved));
+              static_cast<unsigned long long>(
+                  rejoined.counter("state_transfer_bytes_transferred")),
+              static_cast<unsigned long long>(
+                  rejoined.counter("delta_chunks_skipped")),
+              static_cast<unsigned long long>(rejoined.counter("delta_bytes_saved")));
 
   std::printf("\nagreement audit: %s\n",
               cluster.check_agreement() ? "OK (Theorem VI.1 holds)" : "VIOLATED");

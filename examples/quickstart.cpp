@@ -45,8 +45,8 @@ int main() {
   }
 
   std::printf("fast-path commits: %llu, slow-path commits: %llu\n",
-              static_cast<unsigned long long>(cluster.total_fast_commits()),
-              static_cast<unsigned long long>(cluster.total_slow_commits()));
+              static_cast<unsigned long long>(cluster.total_counter("fast_commits")),
+              static_cast<unsigned long long>(cluster.total_counter("slow_commits")));
 
   // Every replica converged to the same authenticated state.
   cluster.run_for(5'000'000);

@@ -45,8 +45,8 @@ int main(int argc, char** argv) {
   cluster.run_for(1'500'000);
   std::printf("t=%.1fs: healthy run — %llu fast commits, %llu slow\n",
               cluster.simulator().now() / 1e6,
-              static_cast<unsigned long long>(cluster.total_fast_commits()),
-              static_cast<unsigned long long>(cluster.total_slow_commits()));
+              static_cast<unsigned long long>(cluster.total_counter("fast_commits")),
+              static_cast<unsigned long long>(cluster.total_counter("slow_commits")));
 
   // Act 2: crash the view-0 primary. The survivors elect view 1, and with
   // only 2f+1 replicas left the fast quorum can't form: commits fall back to
@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
               "commits while a replica short\n",
               cluster.simulator().now() / 1e6,
               static_cast<unsigned long long>(cluster.replica(2).view()),
-              static_cast<unsigned long long>(cluster.total_view_changes()),
-              static_cast<unsigned long long>(cluster.total_slow_commits()));
+              static_cast<unsigned long long>(cluster.total_counter("view_changes")),
+              static_cast<unsigned long long>(cluster.total_counter("slow_commits")));
 
   // Act 3: bring replica 1 back with its disk wiped — it must rebuild from a
   // peer's checkpoint through the chunked state-transfer session
@@ -69,13 +69,16 @@ int main(int argc, char** argv) {
               cluster.simulator().now() / 1e6);
   cluster.restart_replica(1, /*wipe_storage=*/true);
   cluster.run_for(6'000'000);
-  const runtime::RuntimeStats& rt = cluster.replica(1).runtime_stats();
+  const ReplicaHandle& rejoined = cluster.replica(1);
+  const uint64_t state_transfers = rejoined.counter("state_transfers");
   std::printf("t=%.1fs: replica 1 rejoined — %llu state transfer(s), %llu "
               "chunks / %llu bytes fetched, last_executed=%llu\n",
               cluster.simulator().now() / 1e6,
-              static_cast<unsigned long long>(rt.state_transfers),
-              static_cast<unsigned long long>(rt.state_transfer_chunks_fetched),
-              static_cast<unsigned long long>(rt.state_transfer_bytes_transferred),
+              static_cast<unsigned long long>(state_transfers),
+              static_cast<unsigned long long>(
+                  rejoined.counter("state_transfer_chunks_fetched")),
+              static_cast<unsigned long long>(
+                  rejoined.counter("state_transfer_bytes_transferred")),
               static_cast<unsigned long long>(cluster.replica(1).last_executed()));
 
   bool agree = cluster.check_agreement();
@@ -90,16 +93,16 @@ int main(int argc, char** argv) {
   }
   std::printf("trace written to %s — open it at https://ui.perfetto.dev\n", path);
 
-  bool acts_played = cluster.total_fast_commits() > 0 &&
-                     cluster.total_slow_commits() > 0 &&
-                     cluster.total_view_changes() > 0 && rt.state_transfers > 0;
+  bool acts_played = cluster.total_counter("fast_commits") > 0 &&
+                     cluster.total_counter("slow_commits") > 0 &&
+                     cluster.total_counter("view_changes") > 0 && state_transfers > 0;
   if (!acts_played) {
     std::printf("FAIL: scenario did not exercise all acts (fast=%llu slow=%llu "
                 "vc=%llu st=%llu)\n",
-                static_cast<unsigned long long>(cluster.total_fast_commits()),
-                static_cast<unsigned long long>(cluster.total_slow_commits()),
-                static_cast<unsigned long long>(cluster.total_view_changes()),
-                static_cast<unsigned long long>(rt.state_transfers));
+                static_cast<unsigned long long>(cluster.total_counter("fast_commits")),
+                static_cast<unsigned long long>(cluster.total_counter("slow_commits")),
+                static_cast<unsigned long long>(cluster.total_counter("view_changes")),
+                static_cast<unsigned long long>(state_transfers));
     return 1;
   }
   return agree && report.ok() ? 0 : 1;

@@ -27,7 +27,7 @@ int main() {
               cluster.simulator().now() / 1e6,
               static_cast<unsigned long long>(
                   cluster.sbft_replica(2)->last_executed()),
-              static_cast<unsigned long long>(cluster.total_fast_commits()));
+              static_cast<unsigned long long>(cluster.total_counter("fast_commits")));
 
   std::printf("t=%.1fs: crashing the primary (replica 1)\n",
               cluster.simulator().now() / 1e6);
@@ -43,7 +43,7 @@ int main() {
               cluster.simulator().now() / 1e6,
               static_cast<unsigned long long>(view),
               cluster.config().primary_of(view),
-              static_cast<unsigned long long>(cluster.total_view_changes()));
+              static_cast<unsigned long long>(cluster.total_counter("view_changes")));
 
   uint64_t completed = 0;
   for (size_t i = 0; i < cluster.num_clients(); ++i) {

@@ -83,7 +83,14 @@ SbftReplica::SbftReplica(ReplicaOptions options, std::unique_ptr<IService> servi
       collector_stagger_us_(options.collector_stagger_us),
       epoch_keys_(std::move(options.epoch_keys)),
       h_pending_wait_(&metrics_->histogram("stage.pending_wait_us")),
-      h_exec_to_ack_(&metrics_->histogram("stage.exec_to_ack_us")) {
+      h_exec_to_ack_(&metrics_->histogram("stage.exec_to_ack_us")),
+      c_fast_commits_(runtime_.counters().counter("fast_commits")),
+      c_slow_commits_(runtime_.counters().counter("slow_commits")),
+      c_invalid_shares_seen_(runtime_.counters().counter("invalid_shares_seen")),
+      c_timed_slots_(runtime_.counters().counter("timed_slots")),
+      c_proposed_requests_(runtime_.counters().counter("proposed_requests")),
+      c_acked_blocks_(runtime_.counters().counter("acked_blocks")),
+      c_buffered_pi_shares_(runtime_.counters().counter("buffered_pi_shares")) {
   opts_.config.validate();
 }
 
@@ -142,12 +149,6 @@ ViewChangeVerifiers SbftReplica::view_change_verifiers() const {
 }
 
 SbftReplica::~SbftReplica() = default;
-
-ReplicaStats SbftReplica::stats() const {
-  ReplicaStats merged = stats_;
-  static_cast<runtime::RuntimeStats&>(merged) = runtime_.stats();
-  return merged;
-}
 
 std::optional<Digest> SbftReplica::slot_committed_digest(SeqNum s) const {
   auto it = slots_.find(s);
@@ -369,7 +370,7 @@ void SbftReplica::try_propose(sim::ActorContext& ctx, bool flush_partial) {
       pending_.pop_front();
       pending_keys_.erase({r.client, r.timestamp});
       h_pending_wait_->record(ctx.now() - arrived);
-      ++stats_.proposed_requests;
+      ++c_proposed_requests_;
       block.requests.push_back(std::move(r));
     }
     if (block.requests.empty()) return;
@@ -386,7 +387,7 @@ void SbftReplica::try_propose(sim::ActorContext& ctx, bool flush_partial) {
     while (gate > 0 && next_seq_ <= gate &&
            next_seq_ - 1 - le() < active_window() &&
            next_seq_ <= ls() + opts_.config.win) {
-      ++stats_.noop_fill_blocks;
+      ++c_noop_fill_blocks_;
       propose_block(null_block(), ctx);
     }
   }
@@ -527,7 +528,7 @@ void SbftReplica::handle_sign_share(const SignShareMsg& m, sim::ActorContext& ct
   int rank = collector_rank(collectors, opts_.id);
   if (rank < 0) return;
   if (m.h != slot_hash(m.seq, m.view, m.block_digest)) {
-    ++stats_.invalid_shares_seen;
+    ++c_invalid_shares_seen_;
     return;
   }
 
@@ -607,7 +608,7 @@ void SbftReplica::collector_try_fast(SeqNum s, sim::ActorContext& ctx,
       if (sp->coll_sent_fast || !sp->coll_active || sp->coll_view != cv) return;
       auto sig = crypto_for_seq(s).sigma_verifier->combine(h, sigma_shares);
       if (!sig) {
-        ++stats_.invalid_shares_seen;
+        ++c_invalid_shares_seen_;
         // Shares that arrived while this combine was in flight were skipped
         // by the inflight guard; if the quorum grew, retry with the larger
         // set. (Inline completions run synchronously — the set cannot have
@@ -660,7 +661,7 @@ void SbftReplica::collector_try_prepare(SeqNum s, sim::ActorContext& ctx) {
       }
       auto sig = crypto_for_seq(s).tau_verifier->combine(h, tau_shares);
       if (!sig) {
-        ++stats_.invalid_shares_seen;
+        ++c_invalid_shares_seen_;
         auto it = sp->coll_shares.find(h);
         if (it != sp->coll_shares.end() && it->second.size() > tau_shares.size())
           collector_try_prepare(s, c);
@@ -693,7 +694,7 @@ void SbftReplica::handle_prepare(const PrepareMsg& m, sim::ActorContext& ctx) {
     if (m.seq <= ls() || m.seq > ls() + opts_.config.win) return;
     Digest h = slot_hash(m.seq, m.view, m.block_digest);
     if (!crypto_for_seq(m.seq).tau_verifier->verify(h, as_span(m.tau_sig))) {
-      ++stats_.invalid_shares_seen;
+      ++c_invalid_shares_seen_;
       return;
     }
     // A valid tau(h) for a future view proves a slow quorum operates there; a
@@ -788,7 +789,7 @@ void SbftReplica::collector_try_slow_proof(SeqNum s, sim::ActorContext& ctx) {
     if (sp->coll_sent_slow || sp->coll_view != cv || sp->coll_tau.empty()) return;
     auto sig = crypto_for_seq(s).tau_verifier->combine(d2, shares);
     if (!sig) {
-      ++stats_.invalid_shares_seen;
+      ++c_invalid_shares_seen_;
       if (sp->coll_commit_shares.size() > shares.size())
         collector_try_slow_proof(s, c);
       return;
@@ -818,7 +819,7 @@ void SbftReplica::handle_full_commit_proof(const FullCommitProofMsg& m,
     if (m.seq <= le()) return;
     Digest h = slot_hash(m.seq, m.view, m.block_digest);
     if (!crypto_for_seq(m.seq).sigma_verifier->verify(h, as_span(m.sigma_sig))) {
-      ++stats_.invalid_shares_seen;
+      ++c_invalid_shares_seen_;
       return;
     }
     adopt_verified_view(m.view, c);
@@ -838,7 +839,7 @@ void SbftReplica::handle_full_commit_proof_slow(const FullCommitProofSlowMsg& m,
     const ReplicaCrypto& crypto = crypto_for_seq(m.seq);
     if (!crypto.tau_verifier->verify(h, as_span(m.tau_sig)) ||
         !crypto.tau_verifier->verify(d2, as_span(m.tau_tau_sig))) {
-      ++stats_.invalid_shares_seen;
+      ++c_invalid_shares_seen_;
       return;
     }
     adopt_verified_view(m.view, c);
@@ -858,12 +859,12 @@ void SbftReplica::commit(SeqNum s, const Digest& block_digest, bool fast,
   sl.commit_time = ctx.now();
   if (sl.pp_time >= 0) {
     h_pp_to_commit_->record(ctx.now() - sl.pp_time);
-    ++stats_.timed_slots;
+    ++c_timed_slots_;
   }
   if (fast) {
-    ++stats_.fast_commits;
+    ++c_fast_commits_;
   } else {
-    ++stats_.slow_commits;
+    ++c_slow_commits_;
   }
   trace_.instant(ctx.now(), obs::Category::kSlot,
                  fast ? obs::ev::kCommitFast : obs::ev::kCommitSlow, 0, s,
@@ -975,7 +976,7 @@ void SbftReplica::handle_sign_state(const SignStateMsg& m, sim::ActorContext& ct
   Slot& sl = slot(m.seq);
   if (m.seq > le()) {
     sl.buffered_pi.emplace_back(m.replica, m.pi_share);
-    ++stats_.buffered_pi_shares;
+    ++c_buffered_pi_shares_;
     return;
   }
   const runtime::ExecutionRecord* rec = runtime_.record(m.seq);
@@ -985,7 +986,7 @@ void SbftReplica::handle_sign_state(const SignStateMsg& m, sim::ActorContext& ct
   // the CPU cost is charged as a batch verification at combine time, §III).
   if (!crypto_for_seq(m.seq).pi_verifier->verify_share(signer, d,
                                                        as_span(m.pi_share))) {
-    ++stats_.invalid_shares_seen;
+    ++c_invalid_shares_seen_;
     return;
   }
   sl.pi_shares.emplace(m.replica, m.pi_share);
@@ -1026,7 +1027,7 @@ void SbftReplica::ecollector_try_proof(SeqNum s, sim::ActorContext& ctx,
     if (!(rec2->cert.exec_digest() == d)) return;  // re-executed differently
     auto sig = crypto_for_seq(s).pi_verifier->combine(d, shares);
     if (!sig) {
-      ++stats_.invalid_shares_seen;
+      ++c_invalid_shares_seen_;
       if (sp->pi_shares.size() > shares.size())
         ecollector_try_proof(s, c, false);
       return;
@@ -1049,7 +1050,7 @@ void SbftReplica::send_execute_acks(SeqNum s, sim::ActorContext& ctx) {
   const runtime::ExecutionRecord& rec = *rec_ptr;
   if (rec.leaves.empty()) return;
   h_exec_to_ack_->record(ctx.now() - rec.executed_at);
-  ++stats_.acked_blocks;
+  ++c_acked_blocks_;
   trace_.instant(ctx.now(), obs::Category::kSlot, obs::ev::kExecAcks, 0, s,
                  view_, "requests", rec.block.requests.size());
   merkle::BlockMerkleTree tree(rec.leaves);
@@ -1072,7 +1073,7 @@ void SbftReplica::handle_full_execute_proof(const FullExecuteProofMsg& m,
   ctx.offload(ctx.costs().bls_verify_combined_us, [this, m](sim::ActorContext& c) {
     if (!crypto_for_seq(m.seq).pi_verifier->verify(m.exec_digest,
                                                    as_span(m.pi_sig))) {
-      ++stats_.invalid_shares_seen;
+      ++c_invalid_shares_seen_;
       return;
     }
     runtime::ExecutionRecord* rec = runtime_.record(m.seq);
@@ -1168,7 +1169,7 @@ void SbftReplica::start_view_change(ViewNum target, sim::ActorContext& ctx) {
   in_view_change_ = true;
   vc_target_ = target;
   ++vc_attempts_;
-  ++stats_.view_changes;
+  ++c_view_changes_;
   // One session span per target view; escalating to a higher target closes
   // the superseded session and opens the next.
   if (vc_span_ != 0 && vc_span_ != target) {

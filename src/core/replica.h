@@ -46,54 +46,11 @@ struct ReplicaOptions : runtime::ShellOptions {
   std::shared_ptr<const EpochKeyTable> epoch_keys;
 };
 
-/// SBFT protocol counters on top of the shared runtime counters (the base's
-/// fields — execution, state transfer, recovery, reconfiguration — are
-/// slice-assigned from the runtime in stats()).
-struct ReplicaStats : runtime::RuntimeStats {
-  uint64_t fast_commits = 0;
-  uint64_t slow_commits = 0;
-  uint64_t view_changes = 0;
-  uint64_t invalid_shares_seen = 0;
-  // Phase timing lives in the metrics registry's "stage.*" histograms
-  // (pp_to_commit/commit_to_exec/pending_wait/exec_to_ack); the raw
-  // per-replica sums that used to sit here were dead weight the counter lint
-  // flagged — they were accumulated but never exported anywhere.
-  uint64_t timed_slots = 0;        // slots with a pp->commit measurement
-  uint64_t proposed_requests = 0;  // primary: requests batched into blocks
-  uint64_t acked_blocks = 0;       // E-collector: blocks acked to clients
-  uint64_t buffered_pi_shares = 0;
-  // Primary: empty blocks proposed to drive an idle cluster across a pending
-  // reconfiguration's activation checkpoint boundary.
-  uint64_t noop_fill_blocks = 0;
-
-  /// Invokes fn(name, value) for every counter, runtime fields included.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    runtime::RuntimeStats::for_each(fn);
-    fn("fast_commits", fast_commits);
-    fn("slow_commits", slow_commits);
-    fn("view_changes", view_changes);
-    fn("invalid_shares_seen", invalid_shares_seen);
-    fn("timed_slots", timed_slots);
-    fn("proposed_requests", proposed_requests);
-    fn("acked_blocks", acked_blocks);
-    fn("buffered_pi_shares", buffered_pi_shares);
-    fn("noop_fill_blocks", noop_fill_blocks);
-  }
-};
-
 class SbftReplica final : public runtime::ReplicaShell {
  public:
   SbftReplica(ReplicaOptions options, std::unique_ptr<IService> service);
   ~SbftReplica() override;  // defined where Slot is complete
 
-  /// Protocol stats merged with the runtime's protocol-agnostic stats.
-  ReplicaStats stats() const;
-  void for_each_stat(
-      const std::function<void(const char*, uint64_t)>& fn) const override {
-    stats().for_each(fn);
-  }
-  uint64_t view_changes() const override { return stats_.view_changes; }
   /// Chained execution digest d_s for an executed sequence (nullopt if
   /// unknown / garbage collected without record).
   std::optional<Digest> exec_digest_of(SeqNum s) const {
@@ -219,7 +176,15 @@ class SbftReplica final : public runtime::ReplicaShell {
   std::map<ViewNum, std::map<ReplicaId, ViewChangeMsg>> vc_msgs_;
   bool new_view_sent_ = false;
 
-  ReplicaStats stats_;  // protocol-level counters; runtime fields merged in stats()
+  // SBFT protocol counters (handles into the runtime's registry). Phase
+  // timing lives in the "stage.*" histograms instead.
+  uint64_t& c_fast_commits_;
+  uint64_t& c_slow_commits_;
+  uint64_t& c_invalid_shares_seen_;
+  uint64_t& c_timed_slots_;        // slots with a pp->commit measurement
+  uint64_t& c_proposed_requests_;  // primary: requests batched into blocks
+  uint64_t& c_acked_blocks_;       // E-collector: blocks acked to clients
+  uint64_t& c_buffered_pi_shares_;
 };
 
 }  // namespace sbft::core

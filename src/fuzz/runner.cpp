@@ -200,8 +200,8 @@ FuzzResult run_schedule(const Schedule& schedule) {
   cluster.run_for(schedule.settle_us);
 
   result.max_executed = cluster.max_executed();
-  result.view_changes = cluster.total_view_changes();
-  result.recoveries = cluster.total_recoveries();
+  result.view_changes = cluster.total_counter("view_changes");
+  result.recoveries = cluster.total_counter("recoveries");
   result.sim_end_us = cluster.simulator().now();
 
   if (!result.completed) {

@@ -445,41 +445,19 @@ SeqNum Cluster::max_executed() const {
   return hi;
 }
 
-uint64_t Cluster::total_fast_commits() const {
+uint64_t Cluster::total_counter(std::string_view name) const {
   uint64_t total = 0;
-  for (const ReplicaHandle& h : replicas_) {
-    if (h.sbft()) total += h.sbft()->stats().fast_commits;
-  }
-  return total;
-}
-
-uint64_t Cluster::total_slow_commits() const {
-  uint64_t total = 0;
-  for (const ReplicaHandle& h : replicas_) {
-    if (h.sbft()) total += h.sbft()->stats().slow_commits;
-  }
-  return total;
-}
-
-uint64_t Cluster::total_recoveries() const {
-  uint64_t total = 0;
-  for (const ReplicaHandle& h : replicas_) total += h.runtime_stats().recoveries;
+  for (const ReplicaHandle& h : replicas_) total += h.counter(name);
   return total;
 }
 
 uint64_t Cluster::total_wal_bytes_written() const {
-  // Sum over the durable handles, not the replica stats: the handle's counter
+  // Sum over the durable handles, not the replica counters: the handle's count
   // spans every incarnation of the replica.
   uint64_t total = 0;
   for (const ReplicaHandle& h : replicas_) {
     if (h.wal()) total += h.wal()->bytes_written();
   }
-  return total;
-}
-
-uint64_t Cluster::total_view_changes() const {
-  uint64_t total = 0;
-  for (const ReplicaHandle& h : replicas_) total += h.view_changes();
   return total;
 }
 

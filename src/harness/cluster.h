@@ -3,7 +3,7 @@
 // fault injection — and provides the safety audit used by tests.
 //
 // Every replica, regardless of protocol, sits behind a ReplicaHandle that
-// owns its durable storage and exposes stats/ledger/WAL uniformly, so the
+// owns its durable storage and exposes counters/ledger/WAL uniformly, so the
 // crash / restart / disk-wipe / rolling-restart scenario family runs on SBFT
 // variants and the PBFT baseline through the identical API.
 #pragma once
@@ -213,10 +213,9 @@ class Cluster {
 
   SeqNum min_executed() const;
   SeqNum max_executed() const;
-  uint64_t total_fast_commits() const;
-  uint64_t total_slow_commits() const;
-  uint64_t total_view_changes() const;
-  uint64_t total_recoveries() const;
+  /// Sum of counter `name` over every replica's current incarnation
+  /// (ReplicaHandle::counter: aborts on a name no replica registered).
+  uint64_t total_counter(std::string_view name) const;
   uint64_t total_wal_bytes_written() const;
 
   /// Theorem VI.1 audit: every pair of replicas that committed a block at the

@@ -47,18 +47,17 @@ RunMetrics collect_metrics(Cluster& cluster, sim::SimTime from_us, sim::SimTime 
     m.fast_ack_fraction =
         static_cast<double>(fast_acks) / static_cast<double>(m.requests_completed);
   }
-  // Every replica's counters fold into the registry by name — the stats
-  // structs enumerate themselves, so new counters flow through untouched.
+  // Every replica's counters (current incarnation) and histograms (per
+  // handle) fold into the registry by name.
   for (ReplicaId r = 1; r <= cluster.num_replicas(); ++r) {
     const ReplicaHandle& h = cluster.replica(r);
-    h.for_each_stat(
-        [&](std::string_view name, uint64_t value) { m.registry.add(name, value); });
+    m.registry.merge(h.counters());
     if (h.metrics()) m.registry.merge(*h.metrics());
   }
   // Per-lane CPU utilization (docs/performance.md). Lane 0 is the serial
   // handler lane; lanes >= 1 absorb offloaded signature verification. The
   // network tracks these per node across incarnations, so they come from
-  // the network rather than the replica stats.
+  // the network rather than the replica counters.
   sim::Network& net = cluster.network();
   for (ReplicaId r = 1; r <= cluster.num_replicas(); ++r) {
     NodeId node = cluster.replica(r).node();
@@ -72,7 +71,7 @@ RunMetrics collect_metrics(Cluster& cluster, sim::SimTime from_us, sim::SimTime 
     }
     m.registry.counter("cpu_offloads_run") += net.offloads_run(node);
   }
-  // WAL bytes come from the durable handles, not the replica stats: the
+  // WAL bytes come from the durable handles, not the replica counters: the
   // handle's counter spans every incarnation of a restarted replica.
   m.registry.counter("wal_bytes_written") = cluster.total_wal_bytes_written();
   auto totals = cluster.network().total_stats();

@@ -26,7 +26,7 @@ struct LatencySummary {
 LatencySummary summarize_latencies(const std::vector<int64_t>& latencies_us);
 
 /// One measurement window's worth of results. Every protocol/runtime counter
-/// lives in the registry under its stats name ("fast_commits",
+/// lives in the registry under its counter name ("fast_commits",
 /// "state_transfer_resumes", ...) plus the network totals ("messages_sent",
 /// "bytes_sent") — adding a counter at an increment site needs no change
 /// here. Per-stage latency histograms from every replica are merged in too.
@@ -38,7 +38,7 @@ struct RunMetrics {
   double fast_ack_fraction = 0;  // accepted via a single execute-ack
   obs::MetricsRegistry registry;
 
-  /// Counter by stats name; 0 if never incremented.
+  /// Counter by name; 0 if never registered.
   uint64_t counter(std::string_view name) const { return registry.value(name); }
 };
 

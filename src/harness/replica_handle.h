@@ -4,15 +4,18 @@
 // engine backs it (SBFT variants or the PBFT baseline). The handle owns the
 // replica object *and* its durable storage (ledger + WAL, which stand in for
 // the disk that survives the process), exposes the uniform introspection the
-// harness/tests/benches need — view, executed/stable sequences, runtime
-// stats, committed digests — and is the single place where replica ids map
+// harness/tests/benches need — view, executed/stable sequences, counters,
+// committed digests — and is the single place where replica ids map
 // to network node ids. Crash/restart/disk-wipe scenarios therefore run
 // identically on every protocol.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <string>
+#include <string_view>
 
+#include "common/check.h"
 #include "core/replica.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -49,17 +52,24 @@ class ReplicaHandle {
   SeqNum last_stable() const { return replica_->last_stable(); }
   const IService& service() const { return replica_->service(); }
   const runtime::ReplicaRuntime& runtime() const { return replica_->runtime(); }
-  const runtime::RuntimeStats& runtime_stats() const { return runtime().stats(); }
-  uint64_t view_changes() const { return replica_->view_changes(); }
   std::optional<Digest> committed_digest_of(SeqNum s) const {
     return replica_->committed_digest_of(s);
   }
 
-  /// Visits every protocol + runtime counter as (name, value) — the generic
-  /// path metrics collection walks instead of copying fields one by one.
+  /// The current incarnation's counters (a restart starts them from zero).
+  const obs::MetricsRegistry& counters() const { return runtime().counters(); }
+  /// Counter `name` of the current incarnation. Aborts when no component
+  /// registered `name`, so a misspelt name cannot silently read 0.
+  uint64_t counter(std::string_view name) const {
+    const uint64_t* value = counters().find_counter(name);
+    SBFT_CHECK(value != nullptr);
+    return *value;
+  }
+  /// Visits every counter of the current incarnation as (name, value).
   template <typename Fn>
   void for_each_stat(Fn&& fn) const {
-    replica_->for_each_stat(fn);
+    counters().for_each_counter(
+        [&](const std::string& name, uint64_t value) { fn(name.c_str(), value); });
   }
 
   // --- durable storage (outlives replica incarnations) -----------------------

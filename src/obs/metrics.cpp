@@ -92,8 +92,13 @@ uint64_t& MetricsRegistry::counter(std::string_view name) {
 }
 
 uint64_t MetricsRegistry::value(std::string_view name) const {
+  const uint64_t* v = find_counter(name);
+  return v ? *v : 0;
+}
+
+const uint64_t* MetricsRegistry::find_counter(std::string_view name) const {
   auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
+  return it == counters_.end() ? nullptr : &it->second;
 }
 
 double& MetricsRegistry::gauge(std::string_view name) {

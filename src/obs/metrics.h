@@ -1,11 +1,13 @@
 // Metrics registry (ISSUE 6, pillar 2).
 //
-// Named counters, gauges, and HDR-style log-bucketed histograms. The harness
-// gives every replica a MetricsRegistry (shared across restarts, like the
-// ledger handle); engines record per-stage latencies into histograms, and
-// collect_metrics folds every replica's counter snapshot plus registry into
-// one RunMetrics registry that benches emit generically — adding a counter is
-// a one-line change at the increment site, with no copy chain to thread.
+// Named counters, gauges, and HDR-style log-bucketed histograms. Counters
+// live per replica incarnation: each runtime::ReplicaRuntime owns one
+// registry, and every component binds its counters once at construction as
+// `uint64_t&` handles (declaring a counter registers it at zero), so the
+// increment sites are plain memory writes. Per-stage latency histograms live
+// per handle instead: the harness gives every replica a registry that
+// survives restarts, like the ledger. collect_metrics merges both into one
+// RunMetrics registry that benches emit generically.
 //
 // Recording is deterministic (plain memory writes, no clock or RNG), so the
 // registry is always on.
@@ -55,10 +57,14 @@ class Histogram {
 /// Iteration is in name order (std::map), so emission is deterministic.
 class MetricsRegistry {
  public:
+  /// Registers `name` at zero on first use. The reference stays valid for
+  /// the registry's lifetime, so callers bind it once as a handle.
   uint64_t& counter(std::string_view name);
   void add(std::string_view name, uint64_t delta) { counter(name) += delta; }
   /// Counter value; 0 if the counter was never touched.
   uint64_t value(std::string_view name) const;
+  /// Null when `name` was never registered.
+  const uint64_t* find_counter(std::string_view name) const;
 
   double& gauge(std::string_view name);
   double gauge_value(std::string_view name) const;

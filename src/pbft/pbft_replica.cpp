@@ -34,16 +34,10 @@ PbftReplica::PbftReplica(PbftOptions options, std::unique_ptr<IService> service)
     : ReplicaShell(static_cast<const runtime::ShellOptions&>(options),
                    /*roster_c=*/0, /*silent=*/false, std::move(service)),
       fabricate_checkpoint_(options.fabricate_checkpoint),
-      checkpoint_auth_(std::move(options.checkpoint_auth)) {
+      checkpoint_auth_(std::move(options.checkpoint_auth)),
+      c_checkpoint_certs_rejected_(
+          runtime_.counters().counter("checkpoint_certs_rejected")) {
   SBFT_CHECK(opts_.config.c == 0);  // PBFT sizing: n = 3f + 1
-}
-
-PbftStats PbftReplica::stats() const {
-  PbftStats merged = stats_;
-  // The protocol-agnostic counters live in the runtime; the base subobject of
-  // stats_ stays zero, so slicing the runtime's copy in is a plain overwrite.
-  static_cast<runtime::RuntimeStats&>(merged) = runtime_.stats();
-  return merged;
 }
 
 std::optional<Digest> PbftReplica::slot_committed_digest(SeqNum s) const {
@@ -167,7 +161,7 @@ void PbftReplica::try_propose(sim::ActorContext& ctx, bool flush_partial) {
            next_seq_ <= ls() + opts_.config.win) {
       Block block;
       SeqNum s = next_seq_++;
-      ++stats_.noop_fill_blocks;
+      ++c_noop_fill_blocks_;
       ctx.charge(ctx.costs().hash_us(block.wire_size()) + ctx.costs().rsa_sign_us);
       broadcast_replicas(ctx, make_message(PrePrepareMsg{s, view_, std::move(block)}));
     }
@@ -526,7 +520,7 @@ bool PbftReplica::verify_checkpoint_proof(
       }
     }
   }
-  ++stats_.checkpoint_certs_rejected;
+  ++c_checkpoint_certs_rejected_;
   trace_.instant(ctx.now(), obs::Category::kStateTransfer,
                  obs::ev::kStCertRejected, st_session_, cert.seq, 0, "valid_sigs",
                  valid.size());
@@ -647,7 +641,7 @@ void PbftReplica::start_view_change(ViewNum target, sim::ActorContext& ctx) {
   in_view_change_ = true;
   vc_target_ = target;
   ++vc_attempts_;
-  ++stats_.view_changes;
+  ++c_view_changes_;
   // One span per view-change session; escalating the target supersedes the
   // open span (see the SBFT engine).
   if (vc_span_ != 0 && vc_span_ != target) {

@@ -62,27 +62,6 @@ struct PbftOptions : runtime::ShellOptions {
   std::shared_ptr<const CheckpointAuth> checkpoint_auth;
 };
 
-/// Protocol counters over the shared runtime counters (execution, WAL,
-/// state transfer, reconfiguration live in the runtime::RuntimeStats base).
-struct PbftStats : runtime::RuntimeStats {
-  uint64_t view_changes = 0;
-  // State-transfer manifests/replies rejected for missing or invalid quorum
-  // checkpoint certificates (the malicious-donor defense).
-  uint64_t checkpoint_certs_rejected = 0;
-  // Primary: empty blocks proposed to drive an idle cluster across a pending
-  // reconfiguration's activation checkpoint boundary.
-  uint64_t noop_fill_blocks = 0;
-
-  /// Visits every counter as (name, value) — runtime base first.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    runtime::RuntimeStats::for_each(fn);
-    fn("view_changes", view_changes);
-    fn("checkpoint_certs_rejected", checkpoint_certs_rejected);
-    fn("noop_fill_blocks", noop_fill_blocks);
-  }
-};
-
 class PbftReplica final : public runtime::ReplicaShell {
  public:
   PbftReplica(PbftOptions options, std::unique_ptr<IService> service);
@@ -91,13 +70,6 @@ class PbftReplica final : public runtime::ReplicaShell {
   /// requests before the shell serves them honestly.
   void on_message(NodeId from, const Message& msg, sim::ActorContext& ctx) override;
 
-  /// Protocol stats merged with the runtime's protocol-agnostic stats.
-  PbftStats stats() const;
-  void for_each_stat(
-      const std::function<void(const char*, uint64_t)>& fn) const override {
-    stats().for_each(fn);
-  }
-  uint64_t view_changes() const override { return stats_.view_changes; }
 
  private:
   struct Slot {
@@ -208,7 +180,9 @@ class PbftReplica final : public runtime::ReplicaShell {
   std::map<ViewNum, std::map<ReplicaId, PbftViewChangeMsg>> vc_msgs_;
   bool new_view_sent_ = false;
 
-  PbftStats stats_;  // protocol-level counters; runtime fields merged in stats()
+  // State-transfer manifests/replies rejected for missing or invalid quorum
+  // checkpoint certificates (the malicious-donor defense).
+  uint64_t& c_checkpoint_certs_rejected_;
 };
 
 }  // namespace sbft::pbft

@@ -14,11 +14,19 @@ ReplicaRuntime::ReplicaRuntime(RuntimeOptions options,
       trace_(opts_.tracer ? *opts_.tracer : obs::Tracer::nop()),
       service_(std::move(service)),
       checkpoints_(opts_.checkpoint_interval),
-      state_transfer_(opts_.state_transfer_chunk_size,
+      state_transfer_(counters_, opts_.state_transfer_chunk_size,
                       opts_.state_transfer_max_chunks_per_request,
                       opts_.state_transfer_donor_chunks_per_tick,
                       opts_.state_transfer_delta_enabled,
-                      opts_.state_transfer_delta_history) {
+                      opts_.state_transfer_delta_history),
+      c_blocks_executed_(counters_.counter("blocks_executed")),
+      c_requests_executed_(counters_.counter("requests_executed")),
+      c_reply_cache_hits_(counters_.counter("reply_cache_hits")),
+      c_recoveries_(counters_.counter("recoveries")),
+      c_blocks_replayed_(counters_.counter("blocks_replayed")),
+      c_wal_bytes_written_(counters_.counter("wal_bytes_written")),
+      c_epochs_activated_(counters_.counter("epochs_activated")),
+      c_joins_completed_(counters_.counter("joins_completed")) {
   // Every service instance this runtime ever executes on carries the same
   // chunk hint, so snapshot bytes are identical across replicas (the delta
   // path compares them chunk-for-chunk).
@@ -31,13 +39,13 @@ ReplicaRuntime::ReplicaRuntime(RuntimeOptions options,
 }
 
 void ReplicaRuntime::note_membership_change(bool was_member, sim::SimTime now) {
-  ++stats_.epochs_activated;
+  ++c_epochs_activated_;
   epoch_changed_ = true;
   uint64_t epoch = membership_.active().epoch;
   trace_.instant(now, obs::Category::kReconfig, obs::ev::kEpochActivated, 0, 0,
                  0, "epoch", epoch);
   if (!was_member && membership_.is_member(opts_.self)) {
-    ++stats_.joins_completed;
+    ++c_joins_completed_;
     trace_.instant(now, obs::Category::kReconfig, obs::ev::kEpochJoined, 0, 0,
                    0, "epoch", epoch);
   }
@@ -85,9 +93,9 @@ std::optional<RecoveredProtocolState> ReplicaRuntime::recover() {
     records_.emplace(rb.seq, std::move(rec));
   }
 
-  stats_.recoveries = 1;
-  stats_.blocks_replayed = recovered->replayed.size();
-  if (opts_.wal) stats_.wal_bytes_written = opts_.wal->bytes_written();
+  c_recoveries_ = 1;
+  c_blocks_replayed_ = recovered->replayed.size();
+  if (opts_.wal) c_wal_bytes_written_ = opts_.wal->bytes_written();
 
   RecoveredProtocolState out;
   out.view = recovered->view;
@@ -130,14 +138,14 @@ ExecutionRecord& ReplicaRuntime::execute_block(SeqNum s, ViewNum pp_view,
           opts_.marker_executor->claims(req)) {
         value = opts_.marker_executor->execute_marker(req, s, *service_);
         ctx.charge(opts_.marker_executor->last_execute_cost_us(ctx.costs()));
-        ++stats_.requests_executed;
+        ++c_requests_executed_;
       } else {
         value = to_bytes("TX-REJECTED");
       }
     } else if (const CachedReply* cached = replies_.find(req.client);
                cached != nullptr && req.timestamp <= cached->timestamp) {
       value = cached->value;  // duplicate: executed exactly once
-      ++stats_.reply_cache_hits;
+      ++c_reply_cache_hits_;
     } else if (opts_.marker_executor != nullptr &&
                opts_.marker_executor->claims(req)) {
       // Transaction Prepare from a real client: executed by the marker
@@ -146,12 +154,12 @@ ExecutionRecord& ReplicaRuntime::execute_block(SeqNum s, ViewNum pp_view,
       value = opts_.marker_executor->execute_marker(req, s, *service_);
       ctx.charge(opts_.marker_executor->last_execute_cost_us(ctx.costs()));
       replies_.store(req.client, req.timestamp, s, l, value);
-      ++stats_.requests_executed;
+      ++c_requests_executed_;
     } else {
       value = service_->execute(as_span(req.op));
       ctx.charge(service_->last_execute_cost_us(ctx.costs()));
       replies_.store(req.client, req.timestamp, s, l, value);
-      ++stats_.requests_executed;
+      ++c_requests_executed_;
     }
     rec.leaves.push_back(
         exec_leaf(req.client, req.timestamp, crypto::sha256(as_span(value))));
@@ -174,7 +182,7 @@ ExecutionRecord& ReplicaRuntime::execute_block(SeqNum s, ViewNum pp_view,
         s, as_span(encode_message(Message(PrePrepareMsg{s, pp_view, rec.block}))));
   }
   le_ = s;
-  ++stats_.blocks_executed;
+  ++c_blocks_executed_;
   trace_.instant(ctx.now(), obs::Category::kSlot, obs::ev::kExecute, s, s,
                  pp_view, "digest", obs::digest_prefix(exec_digests_[s].data()));
 
@@ -215,7 +223,7 @@ const CachedReply* ReplicaRuntime::cached_reply(ClientId client,
                                                 uint64_t timestamp) {
   const CachedReply* cached = replies_.find(client);
   if (cached == nullptr || timestamp > cached->timestamp) return nullptr;
-  ++stats_.reply_cache_hits;
+  ++c_reply_cache_hits_;
   return cached;
 }
 
@@ -311,21 +319,21 @@ bool ReplicaRuntime::adopt_checkpoint(const ExecCertificate& cert,
 void ReplicaRuntime::wal_record_view(ViewNum v) {
   if (!opts_.wal) return;
   opts_.wal->record_view(v);
-  stats_.wal_bytes_written = opts_.wal->bytes_written();
+  c_wal_bytes_written_ = opts_.wal->bytes_written();
 }
 
 void ReplicaRuntime::wal_record_vote(SeqNum s, ViewNum v,
                                      const Digest& block_digest) {
   if (!opts_.wal) return;
   opts_.wal->record_vote(s, v, block_digest);
-  stats_.wal_bytes_written = opts_.wal->bytes_written();
+  c_wal_bytes_written_ = opts_.wal->bytes_written();
 }
 
 void ReplicaRuntime::wal_record_checkpoint() {
   if (!opts_.wal || !checkpoints_.has_shippable()) return;
   opts_.wal->record_checkpoint(checkpoints_.snapshot_cert(),
                                as_span(checkpoints_.snapshot()));
-  stats_.wal_bytes_written = opts_.wal->bytes_written();
+  c_wal_bytes_written_ = opts_.wal->bytes_written();
 }
 
 Bytes ReplicaRuntime::snapshot_envelope() const {

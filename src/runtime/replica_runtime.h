@@ -15,7 +15,10 @@
 //     checkpoint-execution time, stable-certificate tracking, record GC),
 //   * durability: ledger persistence of decision blocks, the WAL hooks
 //     (views, votes, checkpoints), and boot-time recovery through the
-//     RecoveryManager (§VIII).
+//     RecoveryManager (§VIII),
+//   * the replica's counter registry: one obs::MetricsRegistry per
+//     incarnation, into which the runtime, its state-transfer manager, the
+//     shell and the engine bind their counter handles at construction.
 //
 // The runtime never sends messages and holds no view/quorum state — that is
 // the ordering engine's job. This split is what makes every crash/restart/
@@ -28,6 +31,7 @@
 #include <vector>
 
 #include "kv/service.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "proto/message.h"
 #include "recovery/wal.h"
@@ -74,63 +78,6 @@ struct RuntimeOptions {
   std::shared_ptr<obs::Tracer> tracer;
 };
 
-/// Stats common to every protocol. The protocol stats structs (ReplicaStats,
-/// PbftStats) inherit this directly — engine snapshots slice-assign the base
-/// instead of copying field by field — and for_each is the single descriptor
-/// the harness uses to fold every counter into the metrics registry, so a new
-/// counter is one field plus one fn() line.
-struct RuntimeStats {
-  uint64_t blocks_executed = 0;
-  uint64_t requests_executed = 0;
-  uint64_t reply_cache_hits = 0;  // duplicates served or suppressed
-  uint64_t state_transfers = 0;   // requests issued by the owning replica
-  uint64_t recoveries = 0;        // 1 when this incarnation rebuilt from storage
-  uint64_t blocks_replayed = 0;   // ledger blocks re-executed during recovery
-  uint64_t wal_bytes_written = 0; // cumulative WAL appends (handle lifetime)
-  // Chunked state transfer (docs/state_transfer.md).
-  uint64_t state_transfer_chunks_served = 0;   // donor: chunks shipped
-  uint64_t state_transfer_chunks_fetched = 0;  // fetcher: chunks verified+stored
-  uint64_t state_transfer_invalid_chunks = 0;  // fetcher: failed Merkle check
-  uint64_t state_transfer_resumes = 0;         // retry ticks with partial data
-  // Chunk payload verified and stored by this replica's fetcher role; summed
-  // across a cluster this equals the snapshot bytes moved exactly once.
-  uint64_t state_transfer_bytes_transferred = 0;
-  // Delta state transfer (fetcher role): chunks a delta manifest let this
-  // replica seed from its retained local snapshot instead of fetching, and
-  // the payload bytes that therefore never touched the wire.
-  uint64_t delta_chunks_skipped = 0;
-  uint64_t delta_bytes_saved = 0;
-  // Donor role: chunk serves deferred by the donor-side rate limiter to a
-  // later donor tick (a chunk re-deferred across several ticks counts once
-  // per deferral).
-  uint64_t donor_chunks_throttled = 0;
-  // Group reconfiguration (docs/reconfiguration.md).
-  uint64_t epochs_activated = 0;  // membership epochs that took effect here
-  uint64_t joins_completed = 0;   // this replica became a member via an epoch
-
-  /// Invokes fn(name, value) for every runtime counter.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    fn("blocks_executed", blocks_executed);
-    fn("requests_executed", requests_executed);
-    fn("reply_cache_hits", reply_cache_hits);
-    fn("state_transfers", state_transfers);
-    fn("recoveries", recoveries);
-    fn("blocks_replayed", blocks_replayed);
-    fn("wal_bytes_written", wal_bytes_written);
-    fn("state_transfer_chunks_served", state_transfer_chunks_served);
-    fn("state_transfer_chunks_fetched", state_transfer_chunks_fetched);
-    fn("state_transfer_invalid_chunks", state_transfer_invalid_chunks);
-    fn("state_transfer_resumes", state_transfer_resumes);
-    fn("state_transfer_bytes_transferred", state_transfer_bytes_transferred);
-    fn("delta_chunks_skipped", delta_chunks_skipped);
-    fn("delta_bytes_saved", delta_bytes_saved);
-    fn("donor_chunks_throttled", donor_chunks_throttled);
-    fn("epochs_activated", epochs_activated);
-    fn("joins_completed", joins_completed);
-  }
-};
-
 /// Everything the runtime retains about an executed sequence.
 struct ExecutionRecord {
   ExecCertificate cert;  // pi_sig filled in by the E-collector (SBFT only)
@@ -171,7 +118,8 @@ class ReplicaRuntime {
   ReplicaRuntime(RuntimeOptions options, std::unique_ptr<IService> service);
 
   /// Rebuilds state from the attached storage (no-op when fresh or absent).
-  /// Call once, before the owning replica starts.
+  /// Call once, before the owning replica starts. nullopt when nothing was
+  /// restored.
   std::optional<RecoveredProtocolState> recover();
 
   // --- execution -------------------------------------------------------------
@@ -244,18 +192,20 @@ class ReplicaRuntime {
 
   IService& service() { return *service_; }
   const IService& service() const { return *service_; }
-  RuntimeStats& stats() { return stats_; }
-  const RuntimeStats& stats() const { return stats_; }
+  /// This incarnation's counters (a restarted replica counts from zero).
+  obs::MetricsRegistry& counters() { return counters_; }
+  const obs::MetricsRegistry& counters() const { return counters_; }
 
  private:
   Bytes snapshot_envelope() const;
   void wal_record_checkpoint();
-  /// Folds a membership activation (or restore) into the stats and the
+  /// Folds a membership activation (or restore) into the counters and the
   /// engine-visible change flag. `now` timestamps the trace event.
   void note_membership_change(bool was_member, sim::SimTime now);
 
   RuntimeOptions opts_;
   obs::Tracer& trace_;  // opts_.tracer or the shared disabled instance
+  obs::MetricsRegistry counters_;  // precedes every component binding handles
   std::unique_ptr<IService> service_;
   ReplyCache replies_;
   CheckpointManager checkpoints_;
@@ -268,7 +218,15 @@ class ReplicaRuntime {
   std::map<SeqNum, ExecutionRecord> records_;
   std::map<SeqNum, Digest> exec_digests_;  // d_s chain (kept across GC)
 
-  RuntimeStats stats_;
+  uint64_t& c_blocks_executed_;
+  uint64_t& c_requests_executed_;
+  uint64_t& c_reply_cache_hits_;  // duplicates served or suppressed
+  uint64_t& c_recoveries_;        // 1 when this incarnation rebuilt from storage
+  uint64_t& c_blocks_replayed_;   // ledger blocks re-executed during recovery
+  uint64_t& c_wal_bytes_written_; // cumulative WAL appends (handle lifetime)
+  // Group reconfiguration (docs/reconfiguration.md).
+  uint64_t& c_epochs_activated_;  // membership epochs that took effect here
+  uint64_t& c_joins_completed_;   // this replica became a member via an epoch
 };
 
 }  // namespace sbft::runtime

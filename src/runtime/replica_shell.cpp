@@ -46,13 +46,16 @@ ReplicaShell::ReplicaShell(ShellOptions options, uint32_t roster_c, bool silent,
                              : std::make_shared<obs::MetricsRegistry>()),
       h_pp_to_commit_(&metrics_->histogram("stage.pp_to_commit_us")),
       h_commit_to_exec_(&metrics_->histogram("stage.commit_to_exec_us")),
+      c_state_transfers_(runtime_.counters().counter("state_transfers")),
+      c_view_changes_(runtime_.counters().counter("view_changes")),
+      c_noop_fill_blocks_(runtime_.counters().counter("noop_fill_blocks")),
       cfg_(opts_.config),
       silent_(silent) {
   // With an explicit roster the id may exceed the genesis n (a joiner added
   // by a later epoch); the genesis mapping requires id in 1..n.
   SBFT_CHECK(opts_.id >= 1 &&
              (!opts_.roster.empty() || opts_.id <= opts_.config.n()));
-  recover_from_storage();
+  bool restored = recover_from_storage();
   // Recovery may have reinstalled a later epoch; fold it into the derived
   // config and retirement state (no context: timers re-arm in on_start).
   // A non-member is a *joiner* only when nothing local says otherwise; a
@@ -63,20 +66,21 @@ ReplicaShell::ReplicaShell(ShellOptions options, uint32_t roster_c, bool silent,
   cfg_ = epoch().derive_config(opts_.config);
   runtime_.take_epoch_change();
   retired_ = !runtime_.membership().is_member(opts_.id) &&
-             (!opts_.recovering || runtime_.stats().recoveries > 0);
+             (!opts_.recovering || restored);
 }
 
 ReplicaShell::~ReplicaShell() = default;
 
-void ReplicaShell::recover_from_storage() {
+bool ReplicaShell::recover_from_storage() {
   auto recovered = runtime_.recover();
-  if (!recovered) return;  // fresh storage, or snapshot failed verification
+  if (!recovered) return false;  // fresh storage, or snapshot failed verification
 
   view_ = recovered->view;
   vc_target_ = view_;
   progress_marker_ = le();
   next_seq_ = recovered->install_votes(wal_votes_, le() + 1);
   recovered_replay_bytes_ = recovered->replayed_bytes;
+  return true;
 }
 
 void ReplicaShell::on_start(sim::ActorContext& ctx) {
@@ -229,7 +233,7 @@ void ReplicaShell::on_timer(uint64_t id, sim::ActorContext& ctx) {
     case kStateTransferTimer: {
       // Single retry loop; the stop/probe decisions live in the manager.
       StateTransferManager& st = runtime_.state_transfer();
-      auto tick = st.on_retry_tick(le(), state_transfer_behind(), runtime_.stats());
+      auto tick = st.on_retry_tick(le(), state_transfer_behind());
       if (tick.stop) {
         st_retry_armed_ = false;
         if (st_span_open_ && !state_transfer_behind()) {
@@ -258,7 +262,7 @@ void ReplicaShell::on_timer(uint64_t id, sim::ActorContext& ctx) {
       donor_tick_armed_ = false;
       StateTransferManager& st = runtime_.state_transfer();
       for (auto& [node, chunk] : st.on_donor_tick(
-               runtime_.checkpoints(), opts_.id, runtime_.stats())) {
+               runtime_.checkpoints(), opts_.id)) {
         ctx.charge(ctx.costs().hash_us(chunk.data.size()));
         if (opts_.corrupt_state_chunks && !chunk.data.empty()) {
           chunk.data[0] ^= 0xff;
@@ -397,7 +401,7 @@ void ReplicaShell::request_state_transfer(sim::ActorContext& ctx) {
   if (silent() || retired_) return;
   StateTransferManager& st = runtime_.state_transfer();
   if (st.active()) return;  // a fetch round is already running
-  ++runtime_.stats().state_transfers;
+  ++c_state_transfers_;
   if (!st_span_open_) {
     st_span_open_ = true;
     trace_.begin(ctx.now(), obs::Category::kStateTransfer,
@@ -466,7 +470,7 @@ void ReplicaShell::handle_state_manifest(NodeId from, const StateManifestMsg& m,
   // the chunk root itself is bound end-to-end by the final state-root check
   // in adopt_checkpoint (a lying manifest sender is excluded there).
   if (!verify_checkpoint(m, ctx)) return;
-  if (st.on_manifest(m, le(), runtime_.checkpoints(), runtime_.stats())) {
+  if (st.on_manifest(m, le(), runtime_.checkpoints())) {
     trace_.instant(ctx.now(), obs::Category::kStateTransfer, obs::ev::kStManifest,
                    st_session_, m.seq, 0, "donor", m.donor);
     // A delta manifest may have seeded every chunk from the local base — the
@@ -484,7 +488,7 @@ void ReplicaShell::handle_state_chunk_request(NodeId from,
                                               sim::ActorContext& ctx) {
   if (silent()) return;
   std::vector<StateChunkMsg> chunks = runtime_.state_transfer().make_chunks(
-      runtime_.checkpoints(), m, opts_.id, runtime_.stats(), from);
+      runtime_.checkpoints(), m, opts_.id, from);
   for (StateChunkMsg& c : chunks) {
     ctx.charge(ctx.costs().hash_us(c.data.size()));
     if (opts_.corrupt_state_chunks && !c.data.empty()) c.data[0] ^= 0xff;
@@ -508,7 +512,7 @@ void ReplicaShell::handle_state_chunk(NodeId from, const StateChunkMsg& m,
   StateTransferManager& st = runtime_.state_transfer();
   ctx.charge(ctx.costs().hash_us(m.data.size()));  // leaf hash + proof path
   using Verdict = StateTransferManager::ChunkVerdict;
-  switch (Verdict verdict = st.on_chunk(m, runtime_.stats()); verdict) {
+  switch (Verdict verdict = st.on_chunk(m); verdict) {
     case Verdict::kCompleted:
       trace_.instant(ctx.now(), obs::Category::kStateTransfer,
                      obs::ev::kStChunkStored, st_session_, m.seq, 0, "index",

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -93,10 +92,6 @@ class ReplicaShell : public sim::IActor {
   const ReplicaRuntime& runtime() const { return runtime_; }
   /// Digest of the decision block committed at s (nullopt if not committed).
   std::optional<Digest> committed_digest_of(SeqNum s) const;
-  /// Visits every protocol and runtime counter as (name, value).
-  virtual void for_each_stat(
-      const std::function<void(const char*, uint64_t)>& fn) const = 0;
-  virtual uint64_t view_changes() const = 0;
 
  protected:
   /// `roster_c` is the bootstrap roster's collector parameter (PBFT: 0);
@@ -185,10 +180,16 @@ class ReplicaShell : public sim::IActor {
   // Observability: the tracer reference binds to opts_.tracer or the shared
   // disabled instance; per-stage latency histograms live in the registry and
   // survive restarts with it (the harness shares one registry per handle).
+  // Counters are handles into the runtime's per-incarnation registry.
   obs::Tracer& trace_;
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   obs::Histogram* h_pp_to_commit_;
   obs::Histogram* h_commit_to_exec_;
+  uint64_t& c_state_transfers_;  // fetches this replica started
+  uint64_t& c_view_changes_;
+  // Primary: empty blocks proposed to drive an idle cluster across a pending
+  // reconfiguration's activation checkpoint boundary.
+  uint64_t& c_noop_fill_blocks_;
   // The current state-transfer trace session, and whether its span is open.
   uint64_t st_session_ = 0;
   bool st_span_open_ = false;
@@ -237,8 +238,8 @@ class ReplicaShell : public sim::IActor {
 
   // --- crash recovery (§VIII) -------------------------------------------------
   /// Rebuilds state from WAL + ledger at construction time (no-op when the
-  /// attached storage is fresh or absent).
-  void recover_from_storage();
+  /// attached storage is fresh or absent). True when state was restored.
+  bool recover_from_storage();
 
   // --- state transfer (docs/state_transfer.md) --------------------------------
   void handle_state_transfer_request(NodeId from, const StateTransferRequestMsg& m,

@@ -107,8 +107,7 @@ StateTransferRequestMsg StateTransferManager::make_probe(
 
 bool StateTransferManager::on_manifest(const StateManifestMsg& m,
                                        SeqNum last_executed,
-                                       const CheckpointManager& cp,
-                                       RuntimeStats& stats) {
+                                       const CheckpointManager& cp) {
   if (!active_ || m.seq <= last_executed) return false;
   if (excluded_.count(m.donor)) return false;
   // Geometry sanity: the chunk grid must tile total_bytes exactly.
@@ -156,7 +155,7 @@ bool StateTransferManager::on_manifest(const StateManifestMsg& m,
     // local base snapshot before any wire fetch is planned. (Later
     // same-transfer manifests may seed the still-missing chunks too — see
     // the registration branch below.)
-    seed_from_base(m, cp, stats);
+    seed_from_base(m, cp);
     return true;
   }
   if (m.seq == target_cert_.seq && incoming == transfer_root_) {
@@ -171,15 +170,14 @@ bool StateTransferManager::on_manifest(const StateManifestMsg& m,
       registered = true;
     }
     uint32_t received_before = received_;
-    seed_from_base(m, cp, stats);
+    seed_from_base(m, cp);
     return registered || received_ > received_before;
   }
   return false;
 }
 
 void StateTransferManager::seed_from_base(const StateManifestMsg& m,
-                                          const CheckpointManager& cp,
-                                          RuntimeStats& stats) {
+                                          const CheckpointManager& cp) {
   if (!delta_enabled_ || m.base_seq == 0) return;
   // The delta must answer exactly the base this fetch advertised, and that
   // base must still be the locally retained shippable pair.
@@ -213,13 +211,13 @@ void StateTransferManager::seed_from_base(const StateManifestMsg& m,
     outstanding_.erase(i);
     for (auto& [donor, indices] : outstanding_by_donor_) indices.erase(i);
     seed_donors_.insert(m.donor);
-    ++stats.delta_chunks_skipped;
-    stats.delta_bytes_saved += src.size();
+    ++c_delta_chunks_skipped_;
+    c_delta_bytes_saved_ += src.size();
   }
 }
 
 StateTransferManager::ChunkVerdict StateTransferManager::on_chunk(
-    const StateChunkMsg& m, RuntimeStats& stats) {
+    const StateChunkMsg& m) {
   // Messages match on the geometry-bound transfer key; the Merkle proof
   // below verifies against the tree root that key commits to.
   if (!has_target() || m.seq != target_cert_.seq ||
@@ -233,7 +231,7 @@ StateTransferManager::ChunkVerdict StateTransferManager::on_chunk(
                    chunk_root_, ChunkedSnapshot::chunk_leaf(as_span(m.data)),
                    m.proof);
   if (!valid) {
-    ++stats.state_transfer_invalid_chunks;
+    ++c_invalid_chunks_;
     // An invalid chunk from the replica whose manifest we adopted makes the
     // whole target suspect (it authored the chunk root): exclude_donor drops
     // it so honest same-seq manifests can re-target on the next probe,
@@ -251,8 +249,8 @@ StateTransferManager::ChunkVerdict StateTransferManager::on_chunk(
   if (!chunks_[m.index].empty()) return ChunkVerdict::kDuplicate;
   chunks_[m.index] = m.data;
   ++received_;
-  ++stats.state_transfer_chunks_fetched;
-  stats.state_transfer_bytes_transferred += m.data.size();
+  ++c_chunks_fetched_;
+  c_bytes_transferred_ += m.data.size();
   unplanned_.erase(m.index);
   outstanding_.erase(m.index);
   if (auto it = outstanding_by_donor_.find(m.donor);
@@ -313,7 +311,7 @@ StateTransferManager::plan_requests(ReplicaId self) {
   return out;
 }
 
-bool StateTransferManager::on_retry(RuntimeStats& stats) {
+bool StateTransferManager::on_retry() {
   if (!active_) return false;
   // Strike donors that sat on outstanding requests without delivering, and
   // make everything they sat on plannable again.
@@ -329,18 +327,18 @@ bool StateTransferManager::on_retry(RuntimeStats& stats) {
   delivered_since_tick_.clear();
   ++rotation_;
   bool resuming = has_target() && received_ > 0 && received_ < chunk_count_;
-  if (resuming) ++stats.state_transfer_resumes;
+  if (resuming) ++c_resumes_;
   return resuming;
 }
 
 StateTransferManager::RetryTick StateTransferManager::on_retry_tick(
-    SeqNum last_executed, bool behind, RuntimeStats& stats) {
+    SeqNum last_executed, bool behind) {
   // The fetch became moot: caught up to (or past) the target through the
   // ordering protocol, or no manifest yet and no demonstrable lag remains.
   if (has_target() && target_cert_.seq <= last_executed) finish();
   if (active_ && !has_target() && !behind) finish();
   if (!active_) return {/*stop=*/true, /*probe=*/false};
-  on_retry(stats);
+  on_retry();
   // Re-broadcast the probe while no manifest was adopted, every donor went
   // bad, or every registered donor has struck out (all crashed/partitioned:
   // plan_requests will forgive and keep retrying them, but only a fresh
@@ -521,7 +519,7 @@ std::optional<StateManifestMsg> StateTransferManager::make_manifest(
 
 std::vector<StateChunkMsg> StateTransferManager::make_chunks(
     const CheckpointManager& cp, const StateChunkRequestMsg& req, ReplicaId self,
-    RuntimeStats& stats, NodeId requester_node) {
+    NodeId requester_node) {
   std::vector<StateChunkMsg> out;
   if (!cp.has_shippable() || cp.snapshot_cert().seq != req.seq) {
     return out;  // checkpoint advanced past the request: fetcher re-probes
@@ -556,7 +554,7 @@ std::vector<StateChunkMsg> StateTransferManager::make_chunks(
     // Bytes are counted fetcher-side only (on verified store), so summing
     // the counter across a cluster yields the snapshot size once — not
     // once per role, and not inflated by dropped or duplicate serves.
-    ++stats.state_transfer_chunks_served;
+    ++c_chunks_served_;
     out.push_back(std::move(m));
   }
   if (!deferred.empty()) {
@@ -583,7 +581,7 @@ std::vector<StateChunkMsg> StateTransferManager::make_chunks(
       // Overflow drops are counted too — an operator watching the throttle
       // counter must see the load the limiter turned away, not only the part
       // it could queue.
-      stats.donor_chunks_throttled += rest.indices.size();
+      c_donor_chunks_throttled_ += rest.indices.size();
       if (queue_total < kMaxDeferredChunks) {
         donor_deferred_.push_back({requester_node, std::move(rest)});
       }
@@ -593,8 +591,7 @@ std::vector<StateChunkMsg> StateTransferManager::make_chunks(
 }
 
 std::vector<std::pair<NodeId, StateChunkMsg>>
-StateTransferManager::on_donor_tick(const CheckpointManager& cp, ReplicaId self,
-                                    RuntimeStats& stats) {
+StateTransferManager::on_donor_tick(const CheckpointManager& cp, ReplicaId self) {
   donor_served_this_tick_ = 0;
   std::vector<DeferredRequest> pending = std::move(donor_deferred_);
   donor_deferred_.clear();
@@ -603,7 +600,7 @@ StateTransferManager::on_donor_tick(const CheckpointManager& cp, ReplicaId self,
     // make_chunks re-validates against the now-current shippable pair (stale
     // deferred requests fall out; the fetcher's retry tick covers them) and
     // re-defers whatever exceeds this tick's budget.
-    for (StateChunkMsg& c : make_chunks(cp, d.req, self, stats, d.node)) {
+    for (StateChunkMsg& c : make_chunks(cp, d.req, self, d.node)) {
       out.emplace_back(d.node, std::move(c));
     }
   }

@@ -41,12 +41,12 @@
 
 #include "common/check.h"
 #include "merkle/merkle_tree.h"
+#include "obs/metrics.h"
 #include "proto/message.h"
 
 namespace sbft::runtime {
 
 class CheckpointManager;
-struct RuntimeStats;
 
 /// Donor-side view of one snapshot envelope: the chunk partition geometry
 /// and the Merkle tree over leaf_hash(chunk_i), built once per shippable
@@ -94,18 +94,28 @@ class ChunkedSnapshot {
 
 /// Fetcher + donor state machine for chunked state transfer. Owned by
 /// ReplicaRuntime; driven by runtime::ReplicaShell. `chunk_size` must be > 0.
+/// The transfer counters are bound into `counters` (the runtime's registry),
+/// which must outlive the manager.
 class StateTransferManager {
  public:
-  explicit StateTransferManager(uint32_t chunk_size,
-                                uint32_t max_chunks_per_request = 16,
-                                uint32_t donor_chunks_per_tick = 0,
-                                bool delta_enabled = true,
-                                size_t delta_history = kDefaultDonorHistory)
+  StateTransferManager(obs::MetricsRegistry& counters, uint32_t chunk_size,
+                       uint32_t max_chunks_per_request = 16,
+                       uint32_t donor_chunks_per_tick = 0,
+                       bool delta_enabled = true,
+                       size_t delta_history = kDefaultDonorHistory)
       : chunk_size_(chunk_size),
         max_chunks_per_request_(max_chunks_per_request ? max_chunks_per_request : 1),
         donor_chunks_per_tick_(donor_chunks_per_tick),
         delta_enabled_(delta_enabled),
-        delta_history_(delta_history ? delta_history : 1) {
+        delta_history_(delta_history ? delta_history : 1),
+        c_chunks_served_(counters.counter("state_transfer_chunks_served")),
+        c_chunks_fetched_(counters.counter("state_transfer_chunks_fetched")),
+        c_invalid_chunks_(counters.counter("state_transfer_invalid_chunks")),
+        c_resumes_(counters.counter("state_transfer_resumes")),
+        c_bytes_transferred_(counters.counter("state_transfer_bytes_transferred")),
+        c_delta_chunks_skipped_(counters.counter("delta_chunks_skipped")),
+        c_delta_bytes_saved_(counters.counter("delta_bytes_saved")),
+        c_donor_chunks_throttled_(counters.counter("donor_chunks_throttled")) {
     SBFT_CHECK(chunk_size_ > 0);
   }
 
@@ -156,7 +166,7 @@ class StateTransferManager {
   /// call. `cp` is this replica's own checkpoint state — the source the
   /// delta-seeded chunks are copied from.
   bool on_manifest(const StateManifestMsg& m, SeqNum last_executed,
-                   const CheckpointManager& cp, RuntimeStats& stats);
+                   const CheckpointManager& cp);
 
   /// Every chunk is in hand (arrived or delta-seeded): assemble + adopt.
   bool fetch_complete() const {
@@ -170,7 +180,7 @@ class StateTransferManager {
     kStored,     // stored; request more
     kCompleted,  // stored and the set is complete: assemble + adopt
   };
-  ChunkVerdict on_chunk(const StateChunkMsg& m, RuntimeStats& stats);
+  ChunkVerdict on_chunk(const StateChunkMsg& m);
 
   /// Chunk-request batches for missing chunks that are not already
   /// outstanding, fanned out round-robin across the known donors. Empty when
@@ -182,8 +192,8 @@ class StateTransferManager {
   /// nothing since the last tick (a struck-out donor is deprioritized; one
   /// serving invalid chunks is excluded outright). Returns true when the
   /// fetch holds partial data and will resume — counted as
-  /// stats.state_transfer_resumes.
-  bool on_retry(RuntimeStats& stats);
+  /// state_transfer_resumes.
+  bool on_retry();
 
   /// One full retry-timer tick, shared by both ordering engines so the
   /// subtle stop/probe decisions cannot drift between them. `behind` is the
@@ -195,7 +205,7 @@ class StateTransferManager {
     bool stop = false;
     bool probe = false;
   };
-  RetryTick on_retry_tick(SeqNum last_executed, bool behind, RuntimeStats& stats);
+  RetryTick on_retry_tick(SeqNum last_executed, bool behind);
 
   /// The assembled envelope; valid once on_chunk returned kCompleted.
   Bytes take_envelope();
@@ -253,7 +263,7 @@ class StateTransferManager {
   /// no roster the donor holds yet).
   std::vector<StateChunkMsg> make_chunks(const CheckpointManager& cp,
                                          const StateChunkRequestMsg& req,
-                                         ReplicaId self, RuntimeStats& stats,
+                                         ReplicaId self,
                                          NodeId requester_node = 0);
 
   /// Donor tick: resets the per-tick serve budget and re-serves the requests
@@ -261,7 +271,7 @@ class StateTransferManager {
   /// past — the fetcher's retry covers those). The engine sends each chunk to
   /// the returned *node* and re-arms the tick while donor_tick_needed().
   std::vector<std::pair<NodeId, StateChunkMsg>> on_donor_tick(
-      const CheckpointManager& cp, ReplicaId self, RuntimeStats& stats);
+      const CheckpointManager& cp, ReplicaId self);
 
   /// A donor tick must be scheduled: the budget is in use or requests wait.
   bool donor_tick_needed() const {
@@ -274,8 +284,7 @@ class StateTransferManager {
   void retarget(const StateManifestMsg& m);
   /// Seeds the chunks a delta manifest marks unchanged from the local base
   /// snapshot (no-op when the delta section is absent or unusable).
-  void seed_from_base(const StateManifestMsg& m, const CheckpointManager& cp,
-                      RuntimeStats& stats);
+  void seed_from_base(const StateManifestMsg& m, const CheckpointManager& cp);
   /// Clears every per-target field (target, chunks, donors, strike and
   /// outstanding bookkeeping). Exclusions, rotation, and active_ are managed
   /// by the callers (manifest_failed keeps them; finish drops everything).
@@ -368,6 +377,23 @@ class StateTransferManager {
   };
   uint32_t donor_served_this_tick_ = 0;
   std::vector<DeferredRequest> donor_deferred_;
+
+  // Counter handles into the registry passed at construction.
+  uint64_t& c_chunks_served_;          // donor: chunks shipped
+  uint64_t& c_chunks_fetched_;         // fetcher: chunks verified+stored
+  uint64_t& c_invalid_chunks_;         // fetcher: failed Merkle check
+  uint64_t& c_resumes_;                // retry ticks with partial data
+  // Chunk payload verified and stored by this replica's fetcher role; summed
+  // across a cluster this equals the snapshot bytes moved exactly once.
+  uint64_t& c_bytes_transferred_;
+  // Delta transfer (fetcher role): chunks a delta manifest let this replica
+  // seed from its retained local snapshot instead of fetching, and the
+  // payload bytes that therefore never touched the wire.
+  uint64_t& c_delta_chunks_skipped_;
+  uint64_t& c_delta_bytes_saved_;
+  // Donor role: chunk serves deferred by the rate limiter to a later donor
+  // tick (a chunk re-deferred across several ticks counts once per deferral).
+  uint64_t& c_donor_chunks_throttled_;
 };
 
 }  // namespace sbft::runtime

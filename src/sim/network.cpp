@@ -283,8 +283,6 @@ MessageStats Network::total_stats() const {
   return total;
 }
 
-void Network::reset_stats() { stats_.fill(MessageStats{}); }
-
 void Network::run(NodeId node, SimTime at, Work work) {
   NodeState& state = nodes_[node];
   if (state.crashed) return;

@@ -198,7 +198,6 @@ class Network {
     return stats_;
   }
   MessageStats total_stats() const;
-  void reset_stats();
 
   const CostModel& costs() const { return costs_; }
   Simulator& simulator() { return sim_; }

@@ -26,8 +26,8 @@ TEST(Faults, OneCrashWithCzeroFallsBackToSlowPath) {
   opts.crash_replicas = 1;
   Cluster cluster(std::move(opts));
   ASSERT_TRUE(cluster.run_until_done(240'000'000));
-  EXPECT_EQ(cluster.total_fast_commits(), 0u);
-  EXPECT_GT(cluster.total_slow_commits(), 0u);
+  EXPECT_EQ(cluster.total_counter("fast_commits"), 0u);
+  EXPECT_GT(cluster.total_counter("slow_commits"), 0u);
   EXPECT_TRUE(cluster.check_agreement());
 }
 
@@ -38,7 +38,7 @@ TEST(Faults, CrashWithinCKeepsFastPath) {
   opts.crash_replicas = 1;
   Cluster cluster(std::move(opts));
   ASSERT_TRUE(cluster.run_until_done(240'000'000));
-  EXPECT_GT(cluster.total_fast_commits(), 0u);
+  EXPECT_GT(cluster.total_counter("fast_commits"), 0u);
   EXPECT_TRUE(cluster.check_agreement());
 }
 
@@ -48,7 +48,7 @@ TEST(Faults, CrashBeyondCStillLive) {
   opts.crash_replicas = 2;
   Cluster cluster(std::move(opts));
   ASSERT_TRUE(cluster.run_until_done(240'000'000));
-  EXPECT_GT(cluster.total_slow_commits(), 0u);
+  EXPECT_GT(cluster.total_counter("slow_commits"), 0u);
   EXPECT_TRUE(cluster.check_agreement());
 }
 
@@ -75,7 +75,7 @@ TEST(Faults, CorruptSharesAreFilteredNotFatal) {
   EXPECT_TRUE(cluster.check_agreement());
   uint64_t invalid = 0;
   for (ReplicaId r = 1; r <= cluster.n(); ++r) {
-    invalid += cluster.sbft_replica(r)->stats().invalid_shares_seen;
+    invalid += cluster.replica(r).counter("invalid_shares_seen");
   }
   EXPECT_GT(invalid, 0u);  // corruption was actually detected
 }
@@ -98,7 +98,7 @@ TEST(Faults, PrimaryCrashTriggersViewChange) {
   cluster.network().crash(/*node of replica 1=*/0);
   ASSERT_TRUE(cluster.run_until_done(600'000'000))
       << "clients stalled after primary crash";
-  EXPECT_GT(cluster.total_view_changes(), 0u);
+  EXPECT_GT(cluster.total_counter("view_changes"), 0u);
   // The new view made progress.
   bool some_new_view = false;
   for (ReplicaId r = 2; r <= cluster.n(); ++r) {
@@ -165,7 +165,7 @@ TEST(Faults, StateTransferCatchesUpLaggingReplica) {
   cluster.run_for(40'000'000);
   EXPECT_GT(cluster.sbft_replica(lagger)->last_executed(), others / 2)
       << "lagging replica never caught up";
-  EXPECT_GT(cluster.sbft_replica(lagger)->stats().state_transfers, 0u);
+  EXPECT_GT(cluster.replica(lagger).counter("state_transfers"), 0u);
   EXPECT_TRUE(cluster.check_agreement());
 }
 

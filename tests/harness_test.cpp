@@ -1,6 +1,10 @@
-// Harness-level tests: metrics aggregation, experiment runner, and the
-// Ethereum-like smart-contract workload end to end on a replicated cluster.
+// Harness-level tests: metrics aggregation, replica counters, the experiment
+// runner, and the Ethereum-like smart-contract workload end to end on a
+// replicated cluster.
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
 
 #include "evm/evm_service.h"
 #include "evm/u256.h"
@@ -53,6 +57,103 @@ TEST(Experiment, RunPointProducesMetrics) {
 TEST(Experiment, ProtocolNames) {
   EXPECT_STREQ(protocol_name(ProtocolKind::kPbft), "PBFT");
   EXPECT_STREQ(protocol_name(ProtocolKind::kSbft), "SBFT");
+}
+
+// ---------------------------------------------------------------------------
+// Counters: registry handles, one registry per replica incarnation.
+
+ClusterOptions small_cluster(ProtocolKind kind) {
+  ClusterOptions opts;
+  opts.kind = kind;
+  opts.f = 1;
+  opts.c = kind == ProtocolKind::kSbft ? 1 : 0;
+  opts.num_clients = 2;
+  opts.requests_per_client = 0;
+  opts.topology = sim::lan_topology();
+  opts.seed = 5;
+  return opts;
+}
+
+std::set<std::string> counter_names(const obs::MetricsRegistry& registry) {
+  std::set<std::string> names;
+  registry.for_each_counter(
+      [&](const std::string& name, uint64_t) { names.insert(name); });
+  return names;
+}
+
+// Counters both engines export: runtime, state transfer, shell, and the
+// network/CPU totals collect_metrics adds.
+const std::set<std::string> kSharedCounters = {
+    "blocks_executed", "blocks_replayed", "bytes_sent", "cpu_lane0_used_us",
+    "cpu_offloads_run", "cpu_used_us", "delta_bytes_saved",
+    "delta_chunks_skipped", "donor_chunks_throttled", "epochs_activated",
+    "joins_completed", "messages_sent", "noop_fill_blocks", "recoveries",
+    "reply_cache_hits", "requests_executed",
+    "state_transfer_bytes_transferred", "state_transfer_chunks_fetched",
+    "state_transfer_chunks_served", "state_transfer_invalid_chunks",
+    "state_transfer_resumes", "state_transfers", "view_changes",
+    "wal_bytes_written"};
+
+TEST(Counters, ExportedNamesIncludeZeroValuedCounters) {
+  std::set<std::string> sbft = kSharedCounters;
+  sbft.insert({"acked_blocks", "buffered_pi_shares", "fast_commits",
+               "invalid_shares_seen", "proposed_requests", "slow_commits",
+               "timed_slots"});
+  std::set<std::string> pbft = kSharedCounters;
+  pbft.insert("checkpoint_certs_rejected");
+  for (ProtocolKind kind : {ProtocolKind::kSbft, ProtocolKind::kPbft}) {
+    SCOPED_TRACE(protocol_name(kind));
+    Cluster cluster(small_cluster(kind));
+    cluster.run_for(300'000);
+    RunMetrics m = collect_metrics(cluster, 0, cluster.simulator().now(), 1);
+    std::set<std::string> expected = kind == ProtocolKind::kSbft ? sbft : pbft;
+    EXPECT_EQ(counter_names(m.registry), expected);
+    EXPECT_GT(m.counter("blocks_executed"), 0u);
+    EXPECT_EQ(m.counter("view_changes"), 0u);  // exported although zero
+    // Every replica-level counter lives in the incarnation's registry; the
+    // per-handle registry holds histograms only.
+    for (const char* run_level : {"bytes_sent", "cpu_lane0_used_us",
+                                  "cpu_offloads_run", "cpu_used_us",
+                                  "messages_sent"}) {
+      expected.erase(run_level);
+    }
+    EXPECT_EQ(counter_names(cluster.replica(1).counters()), expected);
+    EXPECT_TRUE(counter_names(*cluster.replica(1).metrics()).empty());
+  }
+}
+
+TEST(Counters, RestartCountsFromZeroAndKeepsHistograms) {
+  for (ProtocolKind kind : {ProtocolKind::kSbft, ProtocolKind::kPbft}) {
+    SCOPED_TRACE(protocol_name(kind));
+    Cluster cluster(small_cluster(kind));
+    cluster.run_for(300'000);
+    const ReplicaHandle& replica = cluster.replica(3);
+    const std::set<std::string> names = counter_names(replica.counters());
+    ASSERT_GT(replica.counter("blocks_executed"), 0u);
+    const obs::Histogram* commits =
+        replica.metrics()->find_histogram("stage.pp_to_commit_us");
+    ASSERT_NE(commits, nullptr);
+    const uint64_t samples = commits->count();
+    ASSERT_GT(samples, 0u);
+
+    cluster.crash_replica(3);
+    cluster.run_for(100'000);
+    cluster.restart_replica(3, /*wipe_storage=*/true);
+    // The new incarnation declares the same counters, all at zero; the
+    // per-handle histogram still holds the old incarnation's samples.
+    EXPECT_EQ(counter_names(replica.counters()), names);
+    replica.for_each_stat([](const char* name, uint64_t value) {
+      EXPECT_EQ(value, 0u) << name;
+    });
+    EXPECT_EQ(replica.metrics()->find_histogram("stage.pp_to_commit_us"),
+              commits);
+    EXPECT_EQ(commits->count(), samples);
+  }
+}
+
+TEST(CountersDeathTest, UnregisteredNameAborts) {
+  Cluster cluster(small_cluster(ProtocolKind::kSbft));
+  EXPECT_DEATH(cluster.replica(1).counter("no_such_counter"), "SBFT_CHECK failed");
 }
 
 TEST(EthWorkload, AddressesAreDeterministic) {

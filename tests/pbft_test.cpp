@@ -57,7 +57,7 @@ TEST(Pbft, PrimaryCrashTriggersViewChange) {
   cluster.run_for(100'000);
   cluster.network().crash(0);  // primary of view 0
   ASSERT_TRUE(cluster.run_until_done(600'000'000));
-  EXPECT_GT(cluster.total_view_changes(), 0u);
+  EXPECT_GT(cluster.total_counter("view_changes"), 0u);
   EXPECT_TRUE(cluster.check_agreement());
 }
 

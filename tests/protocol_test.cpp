@@ -33,9 +33,9 @@ TEST(SbftProtocol, FastPathCommitsAndAcksClients) {
       EXPECT_TRUE(rec.via_fast_ack);
     }
   }
-  EXPECT_GT(cluster.total_fast_commits(), 0u);
-  EXPECT_EQ(cluster.total_slow_commits(), 0u);
-  EXPECT_EQ(cluster.total_view_changes(), 0u);
+  EXPECT_GT(cluster.total_counter("fast_commits"), 0u);
+  EXPECT_EQ(cluster.total_counter("slow_commits"), 0u);
+  EXPECT_EQ(cluster.total_counter("view_changes"), 0u);
   EXPECT_TRUE(cluster.check_agreement());
 }
 
@@ -57,8 +57,8 @@ TEST(SbftProtocol, AllReplicasConverge) {
 TEST(SbftProtocol, LinearPbftVariantUsesSlowPathAndReplies) {
   Cluster cluster(small_cluster(ProtocolKind::kLinearPbft));
   ASSERT_TRUE(cluster.run_until_done(120'000'000));
-  EXPECT_EQ(cluster.total_fast_commits(), 0u);
-  EXPECT_GT(cluster.total_slow_commits(), 0u);
+  EXPECT_EQ(cluster.total_counter("fast_commits"), 0u);
+  EXPECT_GT(cluster.total_counter("slow_commits"), 0u);
   for (size_t i = 0; i < cluster.num_clients(); ++i) {
     EXPECT_EQ(cluster.client(i).completed(), 20u);
     // No execution collector: acceptance is via f+1 matching replies.
@@ -72,7 +72,7 @@ TEST(SbftProtocol, LinearPbftVariantUsesSlowPathAndReplies) {
 TEST(SbftProtocol, FastPathVariantWithoutExecCollector) {
   Cluster cluster(small_cluster(ProtocolKind::kLinearPbftFast));
   ASSERT_TRUE(cluster.run_until_done(120'000'000));
-  EXPECT_GT(cluster.total_fast_commits(), 0u);
+  EXPECT_GT(cluster.total_counter("fast_commits"), 0u);
   for (size_t i = 0; i < cluster.num_clients(); ++i) {
     EXPECT_EQ(cluster.client(i).completed(), 20u);
     for (const auto& rec : cluster.client(i).records()) {
@@ -86,7 +86,7 @@ TEST(SbftProtocol, RedundantCollectorsC1) {
   Cluster cluster(small_cluster(ProtocolKind::kSbft, /*f=*/1, /*c=*/1));
   EXPECT_EQ(cluster.n(), 6u);  // 3f + 2c + 1
   ASSERT_TRUE(cluster.run_until_done(60'000'000));
-  EXPECT_GT(cluster.total_fast_commits(), 0u);
+  EXPECT_GT(cluster.total_counter("fast_commits"), 0u);
   EXPECT_TRUE(cluster.check_agreement());
 }
 
@@ -175,7 +175,7 @@ TEST(SbftProtocol, RealShoupThresholdCrypto) {
   opts.requests_per_client = 5;
   Cluster cluster(std::move(opts));
   ASSERT_TRUE(cluster.run_until_done(120'000'000));
-  EXPECT_GT(cluster.total_fast_commits(), 0u);
+  EXPECT_GT(cluster.total_counter("fast_commits"), 0u);
   for (size_t i = 0; i < cluster.num_clients(); ++i) {
     EXPECT_EQ(cluster.client(i).completed(), 5u);
     EXPECT_EQ(cluster.client(i).rejected_acks(), 0u);

@@ -336,15 +336,15 @@ TEST(Recovery, RestartFromWalWithinView) {
   Cluster cluster(std::move(opts));
   ASSERT_TRUE(cluster.run_until_done(600'000'000)) << "clients stalled";
 
-  core::SbftReplica* restarted = cluster.sbft_replica(3);
-  EXPECT_EQ(restarted->stats().recoveries, 1u);
-  EXPECT_GT(restarted->stats().blocks_replayed, 0u) << "WAL/ledger were empty";
+  const ReplicaHandle& restarted = cluster.replica(3);
+  EXPECT_EQ(restarted.counter("recoveries"), 1u);
+  EXPECT_GT(restarted.counter("blocks_replayed"), 0u) << "WAL/ledger were empty";
   // Rejoined: executed well past whatever it recovered to.
-  EXPECT_GT(restarted->last_executed(), restarted->stats().blocks_replayed);
+  EXPECT_GT(restarted.last_executed(), restarted.counter("blocks_replayed"));
   // Re-entered the fast path (f=1, c=0: fast quorum needs all n=4 replicas,
   // so post-restart fast commits prove the recovered replica participates).
-  EXPECT_GT(restarted->stats().fast_commits, 0u);
-  EXPECT_EQ(cluster.total_recoveries(), 1u);
+  EXPECT_GT(restarted.counter("fast_commits"), 0u);
+  EXPECT_EQ(cluster.total_counter("recoveries"), 1u);
   EXPECT_GT(cluster.total_wal_bytes_written(), 0u);
   EXPECT_TRUE(cluster.check_agreement());
   for (size_t i = 0; i < cluster.num_clients(); ++i) {
@@ -371,11 +371,11 @@ TEST(Recovery, RestartAcrossViewChange) {
   Cluster cluster(std::move(opts));
   ASSERT_TRUE(cluster.run_until_done(600'000'000)) << "clients stalled";
 
-  EXPECT_GT(cluster.total_view_changes(), 0u);
-  core::SbftReplica* restarted = cluster.sbft_replica(3);
-  EXPECT_EQ(restarted->stats().recoveries, 1u);
-  EXPECT_GT(restarted->view(), 0u) << "never adopted the post-crash view";
-  EXPECT_GT(restarted->last_executed(), 0u);
+  EXPECT_GT(cluster.total_counter("view_changes"), 0u);
+  const ReplicaHandle& restarted = cluster.replica(3);
+  EXPECT_EQ(restarted.counter("recoveries"), 1u);
+  EXPECT_GT(restarted.view(), 0u) << "never adopted the post-crash view";
+  EXPECT_GT(restarted.last_executed(), 0u);
   EXPECT_TRUE(cluster.check_agreement());
 }
 
@@ -387,11 +387,11 @@ TEST(Recovery, WipedDiskFallsBackToStateTransfer) {
   Cluster cluster(std::move(opts));
   ASSERT_TRUE(cluster.run_until_done(600'000'000)) << "clients stalled";
 
-  core::SbftReplica* restarted = cluster.sbft_replica(4);
-  EXPECT_EQ(restarted->stats().recoveries, 0u);  // nothing local survived
-  EXPECT_GT(restarted->stats().state_transfers, 0u)
+  const ReplicaHandle& restarted = cluster.replica(4);
+  EXPECT_EQ(restarted.counter("recoveries"), 0u);  // nothing local survived
+  EXPECT_GT(restarted.counter("state_transfers"), 0u)
       << "empty replica never requested state transfer";
-  EXPECT_GT(restarted->last_executed(), 0u) << "never caught up";
+  EXPECT_GT(restarted.last_executed(), 0u) << "never caught up";
   EXPECT_TRUE(cluster.check_agreement());
   for (size_t i = 0; i < cluster.num_clients(); ++i) {
     EXPECT_EQ(cluster.client(i).completed(), 300u);
@@ -410,7 +410,7 @@ TEST(Recovery, RollingRestartKeepsClusterLiveAndSafe) {
   if (cluster.simulator().now() < 12'000'000) {
     cluster.run_for(12'000'000 - cluster.simulator().now());
   }
-  EXPECT_EQ(cluster.total_recoveries(), 3u);
+  EXPECT_EQ(cluster.total_counter("recoveries"), 3u);
   EXPECT_TRUE(cluster.check_agreement());
   for (size_t i = 0; i < cluster.num_clients(); ++i) {
     EXPECT_EQ(cluster.client(i).completed(), 500u);
@@ -427,7 +427,7 @@ TEST(Recovery, RestartedReplicaServesClientRetries) {
   // Recovery rebuilt a non-empty reply cache is observable indirectly: all
   // clients finished and agreement holds even though a replica vanished and
   // returned mid-conversation.
-  EXPECT_EQ(cluster.sbft_replica(2)->stats().recoveries, 1u);
+  EXPECT_EQ(cluster.replica(2).counter("recoveries"), 1u);
   EXPECT_TRUE(cluster.check_agreement());
 }
 

@@ -312,8 +312,7 @@ StateManifestMsg manifest_of(const ChunkedSnapshot& snap, ReplicaId donor,
 bool feed_manifest(StateTransferManager& mgr, const StateManifestMsg& m,
                    SeqNum last_executed) {
   CheckpointManager cp(16);
-  RuntimeStats stats;
-  return mgr.on_manifest(m, last_executed, cp, stats);
+  return mgr.on_manifest(m, last_executed, cp);
 }
 
 Bytes patterned_envelope(size_t size) {
@@ -351,8 +350,8 @@ TEST(ChunkedSnapshotTest, SplitsProvesAndVerifies) {
 TEST(StateTransferManagerTest, FansOutResumesAndReassembles) {
   Bytes envelope = patterned_envelope(8 * 1024);
   ChunkedSnapshot snap(as_span(envelope), 1024);  // 8 chunks
-  StateTransferManager mgr(1024, /*max_chunks_per_request=*/2);
-  RuntimeStats stats;
+  obs::MetricsRegistry stats;
+  StateTransferManager mgr(stats, 1024, /*max_chunks_per_request=*/2);
 
   mgr.begin_probe();
   ASSERT_TRUE(feed_manifest(mgr, manifest_of(snap, /*donor=*/1, /*seq=*/16), 0));
@@ -374,7 +373,7 @@ TEST(StateTransferManagerTest, FansOutResumesAndReassembles) {
   for (const auto& [donor, req] : plan) {
     if (donor != 1) continue;
     for (uint32_t i : req.indices) {
-      EXPECT_EQ(mgr.on_chunk(chunk_msg_of(snap, as_span(envelope), donor, 16, i), stats),
+      EXPECT_EQ(mgr.on_chunk(chunk_msg_of(snap, as_span(envelope), donor, 16, i)),
                 Verdict::kStored);
     }
   }
@@ -383,8 +382,8 @@ TEST(StateTransferManagerTest, FansOutResumesAndReassembles) {
 
   // Retry tick: partial data in hand => this is a *resume*, and nothing
   // already received is thrown away.
-  EXPECT_TRUE(mgr.on_retry(stats));
-  EXPECT_EQ(stats.state_transfer_resumes, 1u);
+  EXPECT_TRUE(mgr.on_retry());
+  EXPECT_EQ(stats.value("state_transfer_resumes"), 1u);
   EXPECT_EQ(mgr.chunks_received(), received_before_retry);
 
   // Drain the remaining chunks (donor 1 keeps serving across plans).
@@ -394,7 +393,7 @@ TEST(StateTransferManagerTest, FansOutResumesAndReassembles) {
     bool done = false;
     for (const auto& [donor, req] : next) {
       for (uint32_t i : req.indices) {
-        Verdict v = mgr.on_chunk(chunk_msg_of(snap, as_span(envelope), donor, 16, i), stats);
+        Verdict v = mgr.on_chunk(chunk_msg_of(snap, as_span(envelope), donor, 16, i));
         done = done || v == Verdict::kCompleted;
       }
     }
@@ -402,16 +401,16 @@ TEST(StateTransferManagerTest, FansOutResumesAndReassembles) {
   }
   ASSERT_EQ(mgr.chunks_received(), snap.chunk_count());
   // Each chunk fetched exactly once — the resume never re-fetched data.
-  EXPECT_EQ(stats.state_transfer_chunks_fetched, snap.chunk_count());
-  EXPECT_EQ(stats.state_transfer_bytes_transferred, envelope.size());
+  EXPECT_EQ(stats.value("state_transfer_chunks_fetched"), snap.chunk_count());
+  EXPECT_EQ(stats.value("state_transfer_bytes_transferred"), envelope.size());
   EXPECT_EQ(mgr.take_envelope(), envelope);
 }
 
 TEST(StateTransferManagerTest, InvalidChunkExcludesDonorForGood) {
   Bytes envelope = patterned_envelope(4 * 1024);
   ChunkedSnapshot snap(as_span(envelope), 1024);
-  StateTransferManager mgr(1024, 4);
-  RuntimeStats stats;
+  obs::MetricsRegistry stats;
+  StateTransferManager mgr(stats, 1024, 4);
 
   mgr.begin_probe();
   ASSERT_TRUE(feed_manifest(mgr, manifest_of(snap, 1, 16), 0));
@@ -420,9 +419,9 @@ TEST(StateTransferManagerTest, InvalidChunkExcludesDonorForGood) {
 
   StateChunkMsg bad = chunk_msg_of(snap, as_span(envelope), 1, 16, plan[0].second.indices[0]);
   bad.data[0] ^= 0xff;  // bit flip; the honest proof no longer matches
-  EXPECT_EQ(mgr.on_chunk(bad, stats),
+  EXPECT_EQ(mgr.on_chunk(bad),
             StateTransferManager::ChunkVerdict::kInvalid);
-  EXPECT_EQ(stats.state_transfer_invalid_chunks, 1u);
+  EXPECT_EQ(stats.value("state_transfer_invalid_chunks"), 1u);
   EXPECT_EQ(mgr.chunks_received(), 0u);
   EXPECT_EQ(mgr.donor_count(), 0u);       // excluded
   EXPECT_TRUE(mgr.plan_requests(4).empty());  // nobody left to ask
@@ -440,7 +439,8 @@ TEST(StateTransferManagerTest, InvalidChunkExcludesDonorForGood) {
 TEST(StateTransferManagerTest, ExcludeDonorRePlansItsOutstandingChunks) {
   Bytes envelope = patterned_envelope(4 * 1024);
   ChunkedSnapshot snap(as_span(envelope), 1024);
-  StateTransferManager mgr(1024, 4);
+  obs::MetricsRegistry stats;
+  StateTransferManager mgr(stats, 1024, 4);
   mgr.begin_probe();
   ASSERT_TRUE(feed_manifest(mgr, manifest_of(snap, 1, 16), 0));
   ASSERT_TRUE(feed_manifest(mgr, manifest_of(snap, 2, 16), 0));
@@ -464,11 +464,11 @@ TEST(StateTransferManagerTest, BogusRootManifestCannotWedgeTheFetch) {
   // struck out silently — never "first manifest wins" forever.
   Bytes envelope = patterned_envelope(4 * 1024);
   ChunkedSnapshot honest(as_span(envelope), 1024);
-  RuntimeStats stats;
+  obs::MetricsRegistry stats;
 
   // Liar serves an invalid chunk: target dropped at once, honest re-targets.
   {
-    StateTransferManager mgr(1024, 4);
+    StateTransferManager mgr(stats, 1024, 4);
     mgr.begin_probe();
     StateManifestMsg bogus = manifest_of(honest, /*donor=*/1, /*seq=*/16);
     bogus.chunk_root[0] ^= 0xff;
@@ -478,7 +478,7 @@ TEST(StateTransferManagerTest, BogusRootManifestCannotWedgeTheFetch) {
     StateChunkMsg garbage =
         chunk_msg_of(honest, as_span(envelope), 1, 16, plan[0].second.indices[0]);
     garbage.chunk_root = plan[0].second.chunk_root;  // matches target, fails proof
-    EXPECT_EQ(mgr.on_chunk(garbage, stats),
+    EXPECT_EQ(mgr.on_chunk(garbage),
               StateTransferManager::ChunkVerdict::kInvalid);
     EXPECT_FALSE(mgr.has_target());  // suspect root dropped with its author
     ASSERT_TRUE(feed_manifest(mgr, manifest_of(honest, /*donor=*/2, 16), 0));
@@ -490,7 +490,7 @@ TEST(StateTransferManagerTest, BogusRootManifestCannotWedgeTheFetch) {
   // forgiveness branch clears strikes_ for planning) and the honest manifest
   // arrives between ticks — the struck-out evidence must survive all that.
   {
-    StateTransferManager mgr(1024, 4);
+    StateTransferManager mgr(stats, 1024, 4);
     mgr.begin_probe();
     StateManifestMsg bogus = manifest_of(honest, /*donor=*/1, /*seq=*/16);
     bogus.chunk_root[0] ^= 0xff;
@@ -498,9 +498,9 @@ TEST(StateTransferManagerTest, BogusRootManifestCannotWedgeTheFetch) {
     StateManifestMsg truth = manifest_of(honest, /*donor=*/2, /*seq=*/16);
     EXPECT_FALSE(feed_manifest(mgr, truth, 0));  // liar's donors not yet dead
     ASSERT_FALSE(mgr.plan_requests(4).empty());
-    mgr.on_retry_tick(0, true, stats);  // strike 1
+    mgr.on_retry_tick(0, true);  // strike 1
     ASSERT_FALSE(mgr.plan_requests(4).empty());
-    auto tick = mgr.on_retry_tick(0, true, stats);  // strike 2: struck out
+    auto tick = mgr.on_retry_tick(0, true);  // strike 2: struck out
     EXPECT_TRUE(tick.probe);
     ASSERT_FALSE(mgr.plan_requests(4).empty());  // forgiveness retries the liar...
     ASSERT_TRUE(feed_manifest(mgr, truth, 0));      // ...but cannot mask its record
@@ -519,8 +519,8 @@ TEST(StateTransferManagerTest, GeometryLieNamesADifferentTransfer) {
   // violate the lied size bound and get the donors excluded.
   Bytes envelope = patterned_envelope(10 * 1024);
   ChunkedSnapshot snap(as_span(envelope), 1024);  // 10 chunks of 1024
-  RuntimeStats stats;
-  StateTransferManager mgr(1024, 4);
+  obs::MetricsRegistry stats;
+  StateTransferManager mgr(stats, 1024, 4);
   mgr.begin_probe();
   StateManifestMsg shrunk = manifest_of(snap, /*donor=*/1, /*seq=*/16);
   shrunk.chunk_size = 512;  // honest root, lying grid
@@ -534,9 +534,9 @@ TEST(StateTransferManagerTest, GeometryLieNamesADifferentTransfer) {
   // re-plans after every tick, so its outstanding requests keep going
   // unanswered), the honest same-seq manifest re-targets and requests carry
   // the honest key.
-  mgr.on_retry_tick(0, true, stats);
+  mgr.on_retry_tick(0, true);
   ASSERT_FALSE(mgr.plan_requests(4).empty());
-  mgr.on_retry_tick(0, true, stats);
+  mgr.on_retry_tick(0, true);
   ASSERT_FALSE(mgr.plan_requests(4).empty());  // engine plans before manifests land
   ASSERT_TRUE(feed_manifest(mgr, manifest_of(snap, /*donor=*/2, 16), 0));
   auto honest_plan = mgr.plan_requests(4);
@@ -551,26 +551,26 @@ TEST(StateTransferManagerTest, RetryTickReprobesWhenEveryDonorStruckOut) {
   // replicas that acquired the checkpoint since then can register.
   Bytes envelope = patterned_envelope(4 * 1024);
   ChunkedSnapshot snap(as_span(envelope), 1024);
-  StateTransferManager mgr(1024, 4);
-  RuntimeStats stats;
+  obs::MetricsRegistry stats;
+  StateTransferManager mgr(stats, 1024, 4);
 
   mgr.begin_probe();
-  auto first = mgr.on_retry_tick(/*last_executed=*/0, /*behind=*/true, stats);
+  auto first = mgr.on_retry_tick(/*last_executed=*/0, /*behind=*/true);
   EXPECT_FALSE(first.stop);
   EXPECT_TRUE(first.probe);  // no manifest adopted yet
 
   ASSERT_TRUE(feed_manifest(mgr, manifest_of(snap, 1, 16), 0));
   ASSERT_FALSE(mgr.plan_requests(4).empty());  // donor 1 has outstanding chunks
-  auto tick1 = mgr.on_retry_tick(0, true, stats);
+  auto tick1 = mgr.on_retry_tick(0, true);
   EXPECT_FALSE(tick1.stop);
   EXPECT_FALSE(tick1.probe);  // one strike: donor may just be slow
   ASSERT_FALSE(mgr.plan_requests(4).empty());
-  auto tick2 = mgr.on_retry_tick(0, true, stats);
+  auto tick2 = mgr.on_retry_tick(0, true);
   EXPECT_FALSE(tick2.stop);
   EXPECT_TRUE(tick2.probe);  // struck out: only a fresh probe finds donors
 
   // The fetch becomes moot once the replica caught up past the target.
-  auto done = mgr.on_retry_tick(/*last_executed=*/16, /*behind=*/false, stats);
+  auto done = mgr.on_retry_tick(/*last_executed=*/16, /*behind=*/false);
   EXPECT_TRUE(done.stop);
   EXPECT_FALSE(mgr.active());
 }
@@ -578,11 +578,11 @@ TEST(StateTransferManagerTest, RetryTickReprobesWhenEveryDonorStruckOut) {
 TEST(StateTransferManagerTest, AdoptResultDistinguishesStaleFromLyingManifest) {
   Bytes envelope = patterned_envelope(1024);
   ChunkedSnapshot snap(as_span(envelope), 1024);
-  RuntimeStats stats;
+  obs::MetricsRegistry stats;
 
   // Lying manifest: adoption failed and the target is still ahead of the
   // replica — the sender is excluded and the caller must re-probe.
-  StateTransferManager mgr(1024, 4);
+  StateTransferManager mgr(stats, 1024, 4);
   mgr.begin_probe();
   ASSERT_TRUE(feed_manifest(mgr, manifest_of(snap, 1, 16), 0));
   EXPECT_TRUE(mgr.on_adopt_result(/*adopted=*/false, /*last_executed=*/0));
@@ -592,14 +592,14 @@ TEST(StateTransferManagerTest, AdoptResultDistinguishesStaleFromLyingManifest) {
 
   // Stale target: adoption failed only because the replica caught up past
   // the checkpoint through the ordering protocol — nothing went wrong.
-  StateTransferManager stale(1024, 4);
+  StateTransferManager stale(stats, 1024, 4);
   stale.begin_probe();
   ASSERT_TRUE(feed_manifest(stale, manifest_of(snap, 2, 16), 0));
   EXPECT_FALSE(stale.on_adopt_result(/*adopted=*/false, /*last_executed=*/16));
   EXPECT_FALSE(stale.active());
 
   // Success clears everything.
-  StateTransferManager ok(1024, 4);
+  StateTransferManager ok(stats, 1024, 4);
   ok.begin_probe();
   ASSERT_TRUE(feed_manifest(ok, manifest_of(snap, 3, 16), 0));
   EXPECT_FALSE(ok.on_adopt_result(/*adopted=*/true, /*last_executed=*/16));
@@ -736,7 +736,8 @@ TEST(StateTransferManagerTest, DeltaManifestSeedsUnchangedChunks) {
 
   // Donor: sealed the base checkpoint, then the target (retiring the base's
   // chunk hashes into its delta history).
-  StateTransferManager donor(1024, 8);
+  obs::MetricsRegistry donor_stats;
+  StateTransferManager donor(donor_stats, 1024, 8);
   CheckpointManager donor_cp(16);
   donor_cp.adopt(cert_at(16), base_env);
   EXPECT_TRUE(donor.note_checkpoint(donor_cp));
@@ -744,7 +745,8 @@ TEST(StateTransferManagerTest, DeltaManifestSeedsUnchangedChunks) {
   EXPECT_TRUE(donor.note_checkpoint(donor_cp));
 
   // Fetcher: retains the base as its shippable pair.
-  StateTransferManager fetcher(1024, 8);
+  obs::MetricsRegistry stats;
+  StateTransferManager fetcher(stats, 1024, 8);
   CheckpointManager fetcher_cp(16);
   fetcher_cp.adopt(cert_at(16), base_env);
   StateTransferRequestMsg probe = fetcher.make_probe(fetcher_cp, /*self=*/4,
@@ -756,26 +758,23 @@ TEST(StateTransferManagerTest, DeltaManifestSeedsUnchangedChunks) {
   EXPECT_EQ(manifest->base_seq, 16u);
   EXPECT_EQ(manifest->base_map.size(), 6u);
 
-  RuntimeStats stats;
-  ASSERT_TRUE(fetcher.on_manifest(*manifest, 16, fetcher_cp, stats));
-  EXPECT_EQ(stats.delta_chunks_skipped, 6u);
-  EXPECT_EQ(stats.delta_bytes_saved, 6u * 1024u);
+  ASSERT_TRUE(fetcher.on_manifest(*manifest, 16, fetcher_cp));
+  EXPECT_EQ(stats.value("delta_chunks_skipped"), 6u);
+  EXPECT_EQ(stats.value("delta_bytes_saved"), 6u * 1024u);
   EXPECT_FALSE(fetcher.fetch_complete());
 
   // Only the differing chunks go on the wire.
   auto plan = fetcher.plan_requests(4);
   ASSERT_EQ(plan.size(), 1u);
   EXPECT_EQ(plan[0].second.indices, (std::vector<uint32_t>{2, 5, 8}));
-  RuntimeStats donor_stats;
   using Verdict = StateTransferManager::ChunkVerdict;
   Verdict last = Verdict::kRejected;
-  for (StateChunkMsg& c :
-       donor.make_chunks(donor_cp, plan[0].second, 1, donor_stats)) {
-    last = fetcher.on_chunk(c, stats);
+  for (StateChunkMsg& c : donor.make_chunks(donor_cp, plan[0].second, 1)) {
+    last = fetcher.on_chunk(c);
   }
   EXPECT_EQ(last, Verdict::kCompleted);
-  EXPECT_EQ(stats.state_transfer_chunks_fetched, 3u);
-  EXPECT_EQ(stats.state_transfer_bytes_transferred, 3u * 1024u);
+  EXPECT_EQ(stats.value("state_transfer_chunks_fetched"), 3u);
+  EXPECT_EQ(stats.value("state_transfer_bytes_transferred"), 3u * 1024u);
   EXPECT_EQ(fetcher.take_envelope(), target_env);
 }
 
@@ -788,14 +787,15 @@ TEST(StateTransferManagerTest, LateDeltaManifestSeedsMidFetch) {
   Bytes target_env = base_env;
   std::fill(target_env.begin() + 2 * 1024, target_env.begin() + 3 * 1024, 0xAB);
 
-  StateTransferManager donor(1024, 8);
+  obs::MetricsRegistry stats;
+  StateTransferManager donor(stats, 1024, 8);
   CheckpointManager donor_cp(16);
   donor_cp.adopt(cert_at(16), base_env);
   donor.note_checkpoint(donor_cp);
   donor_cp.adopt(cert_at(32), target_env);
   donor.note_checkpoint(donor_cp);
 
-  StateTransferManager fetcher(1024, 16);
+  StateTransferManager fetcher(stats, 1024, 16);
   CheckpointManager fetcher_cp(16);
   fetcher_cp.adopt(cert_at(16), base_env);
   StateTransferRequestMsg probe = fetcher.make_probe(fetcher_cp, 4, 16);
@@ -803,10 +803,9 @@ TEST(StateTransferManagerTest, LateDeltaManifestSeedsMidFetch) {
   // A full manifest (donor 9 lost its history) adopts the target first and
   // every chunk gets planned onto it.
   ChunkedSnapshot tsnap(as_span(target_env), 1024);
-  RuntimeStats stats;
   ASSERT_TRUE(fetcher.on_manifest(manifest_of(tsnap, /*donor=*/9, /*seq=*/32),
-                                  16, fetcher_cp, stats));
-  EXPECT_EQ(stats.delta_chunks_skipped, 0u);
+                                  16, fetcher_cp));
+  EXPECT_EQ(stats.value("delta_chunks_skipped"), 0u);
   ASSERT_FALSE(fetcher.plan_requests(4).empty());  // all 8 outstanding at 9
 
   // Donor 1's delta manifest for the same transfer arrives later: the seven
@@ -814,12 +813,12 @@ TEST(StateTransferManagerTest, LateDeltaManifestSeedsMidFetch) {
   auto delta = donor.make_manifest(donor_cp, probe, /*donor=*/1);
   ASSERT_TRUE(delta.has_value());
   ASSERT_EQ(delta->base_seq, 16u);
-  ASSERT_TRUE(fetcher.on_manifest(*delta, 16, fetcher_cp, stats));
-  EXPECT_EQ(stats.delta_chunks_skipped, 7u);
+  ASSERT_TRUE(fetcher.on_manifest(*delta, 16, fetcher_cp));
+  EXPECT_EQ(stats.value("delta_chunks_skipped"), 7u);
   EXPECT_EQ(fetcher.chunks_received(), 7u);
   // The seeded chunks were retired from the outstanding marks: a retry tick
   // re-plans exactly the one differing chunk.
-  fetcher.on_retry(stats);
+  fetcher.on_retry();
   auto plan = fetcher.plan_requests(4);
   ASSERT_EQ(plan.size(), 1u);
   EXPECT_EQ(plan[0].second.indices, (std::vector<uint32_t>{2}));
@@ -835,7 +834,8 @@ TEST(StateTransferManagerTest, LateDeltaManifestSeedsMidFetch) {
 
 TEST(StateTransferManagerTest, UnknownBaseFallsBackToFullManifest) {
   Bytes target_env = patterned_envelope(6 * 1024);
-  StateTransferManager donor(1024, 8);
+  obs::MetricsRegistry stats;
+  StateTransferManager donor(stats, 1024, 8);
   CheckpointManager donor_cp(16);
   donor_cp.adopt(cert_at(32), target_env);
   EXPECT_TRUE(donor.note_checkpoint(donor_cp));  // no retired base: no history
@@ -855,7 +855,7 @@ TEST(StateTransferManagerTest, UnknownBaseFallsBackToFullManifest) {
   EXPECT_TRUE(manifest->base_map.empty());
 
   // A wiped fetcher (no shippable pair) advertises no base at all.
-  StateTransferManager fetcher(1024, 8);
+  StateTransferManager fetcher(stats, 1024, 8);
   CheckpointManager empty_cp(16);
   StateTransferRequestMsg wiped = fetcher.make_probe(empty_cp, 4, 0);
   EXPECT_EQ(wiped.base_seq, 0u);
@@ -866,22 +866,22 @@ TEST(StateTransferManagerTest, ThrottledRequestReservedOnDonorTick) {
   // the per-request cap but beyond the per-tick budget is trimmed, and the
   // remainder is re-served on subsequent donor ticks — never dropped.
   Bytes env = patterned_envelope(8 * 1024);
-  StateTransferManager donor(1024, /*max_chunks_per_request=*/8,
+  obs::MetricsRegistry stats;
+  StateTransferManager donor(stats, 1024, /*max_chunks_per_request=*/8,
                              /*donor_chunks_per_tick=*/2);
   CheckpointManager cp(16);
   cp.adopt(cert_at(16), env);
   ChunkedSnapshot snap(as_span(env), 1024);
-  RuntimeStats stats;
 
   StateChunkRequestMsg req;
   req.requester = 4;
   req.seq = 16;
   req.chunk_root = snap.transfer_root();
   req.indices = {0, 1, 2, 3, 4};
-  auto served = donor.make_chunks(cp, req, /*self=*/1, stats,
+  auto served = donor.make_chunks(cp, req, /*self=*/1,
                                   /*requester_node=*/3);
   EXPECT_EQ(served.size(), 2u);  // budget for this tick
-  EXPECT_EQ(stats.donor_chunks_throttled, 3u);
+  EXPECT_EQ(stats.value("donor_chunks_throttled"), 3u);
   EXPECT_EQ(donor.donor_deferred_requests(), 1u);
   ASSERT_TRUE(donor.donor_tick_needed());
 
@@ -889,35 +889,35 @@ TEST(StateTransferManagerTest, ThrottledRequestReservedOnDonorTick) {
   // on: those must dedup against the queue, not pile up as duplicates.
   StateChunkRequestMsg retry_req = req;
   retry_req.indices = {2, 3, 4};
-  EXPECT_TRUE(donor.make_chunks(cp, retry_req, 1, stats, 3).empty());
+  EXPECT_TRUE(donor.make_chunks(cp, retry_req, 1, 3).empty());
   EXPECT_EQ(donor.donor_deferred_requests(), 1u);
-  EXPECT_EQ(stats.donor_chunks_throttled, 3u);  // nothing newly queued
+  EXPECT_EQ(stats.value("donor_chunks_throttled"), 3u);  // nothing newly queued
 
   // Tick 1 re-serves within a fresh budget (and re-defers the overflow).
-  auto tick1 = donor.on_donor_tick(cp, 1, stats);
+  auto tick1 = donor.on_donor_tick(cp, 1);
   ASSERT_EQ(tick1.size(), 2u);
   EXPECT_EQ(tick1[0].first, 3u);  // addressed to the requester's node
   EXPECT_EQ(tick1[0].second.index, 2u);
-  auto tick2 = donor.on_donor_tick(cp, 1, stats);
+  auto tick2 = donor.on_donor_tick(cp, 1);
   ASSERT_EQ(tick2.size(), 1u);
   EXPECT_EQ(tick2[0].second.index, 4u);
   // All five indices ultimately served, each chunk Merkle-valid.
-  EXPECT_EQ(stats.state_transfer_chunks_served, 5u);
+  EXPECT_EQ(stats.value("state_transfer_chunks_served"), 5u);
   for (const auto& [requester, c] : tick1) {
     EXPECT_TRUE(merkle::BlockMerkleTree::verify(
         snap.chunk_root(), ChunkedSnapshot::chunk_leaf(as_span(c.data)), c.proof));
   }
-  auto tick3 = donor.on_donor_tick(cp, 1, stats);
+  auto tick3 = donor.on_donor_tick(cp, 1);
   EXPECT_TRUE(tick3.empty());
   EXPECT_FALSE(donor.donor_tick_needed());  // budget idle, queue drained
 
   // A deferred request the checkpoint advanced past is dropped on the tick
   // (the fetcher's retry re-plans it); the queue never wedges.
-  auto again = donor.make_chunks(cp, req, 1, stats, 3);
+  auto again = donor.make_chunks(cp, req, 1, 3);
   EXPECT_EQ(again.size(), 2u);
   EXPECT_EQ(donor.donor_deferred_requests(), 1u);
   cp.adopt(cert_at(32), patterned_envelope(2 * 1024));
-  EXPECT_TRUE(donor.on_donor_tick(cp, 1, stats).empty());
+  EXPECT_TRUE(donor.on_donor_tick(cp, 1).empty());
   EXPECT_FALSE(donor.donor_tick_needed());
 }
 
@@ -994,7 +994,7 @@ TEST(SeedRegressions, ExactlyQuorumViewChangeRecommitsStalledSlots) {
   cluster.crash_replica(1);  // view-0 primary; exactly 2f+1 = 3 remain
   ASSERT_TRUE(cluster.run_until_done(600'000'000))
       << "clients stalled: stalled slots were not re-committed in the new view";
-  EXPECT_GT(cluster.total_view_changes(), 0u);
+  EXPECT_GT(cluster.total_counter("view_changes"), 0u);
   EXPECT_TRUE(cluster.check_agreement());
 }
 
@@ -1172,17 +1172,17 @@ TEST_P(CrossProtocolRecovery, CrashRestartRejoinsFromWal) {
   ASSERT_TRUE(cluster.run_until_done(600'000'000)) << "clients stalled";
 
   const ReplicaHandle& restarted = cluster.replica(3);
-  EXPECT_EQ(restarted.runtime_stats().recoveries, 1u);
-  EXPECT_GT(restarted.runtime_stats().blocks_replayed, 0u)
+  EXPECT_EQ(restarted.counter("recoveries"), 1u);
+  EXPECT_GT(restarted.counter("blocks_replayed"), 0u)
       << "WAL/ledger were empty";
   // Rejoined: executed well past whatever it recovered to.
-  EXPECT_GT(restarted.last_executed(), restarted.runtime_stats().blocks_replayed);
+  EXPECT_GT(restarted.last_executed(), restarted.counter("blocks_replayed"));
   if (GetParam() == ProtocolKind::kSbft) {
     // Re-entered the fast path (f=1, c=0: fast quorum needs all n=4 replicas,
     // so post-restart fast commits prove the recovered replica participates).
-    EXPECT_GT(restarted.sbft()->stats().fast_commits, 0u);
+    EXPECT_GT(restarted.counter("fast_commits"), 0u);
   }
-  EXPECT_EQ(cluster.total_recoveries(), 1u);
+  EXPECT_EQ(cluster.total_counter("recoveries"), 1u);
   EXPECT_GT(cluster.total_wal_bytes_written(), 0u);
   EXPECT_TRUE(cluster.check_agreement());
   for (size_t i = 0; i < cluster.num_clients(); ++i) {
@@ -1205,8 +1205,8 @@ TEST_P(CrossProtocolRecovery, WipedDiskRecoversViaStateTransfer) {
   cluster.run_for(5'000'000);
 
   const ReplicaHandle& restarted = cluster.replica(4);
-  EXPECT_EQ(restarted.runtime_stats().recoveries, 0u);  // nothing local survived
-  EXPECT_GT(restarted.runtime_stats().state_transfers, 0u)
+  EXPECT_EQ(restarted.counter("recoveries"), 0u);  // nothing local survived
+  EXPECT_GT(restarted.counter("state_transfers"), 0u)
       << "empty replica never requested state transfer";
   EXPECT_GT(restarted.last_executed(), 0u) << "never caught up";
   EXPECT_TRUE(cluster.check_agreement());
@@ -1227,7 +1227,7 @@ TEST_P(CrossProtocolRecovery, RollingRestartKeepsClusterLiveAndSafe) {
   if (cluster.simulator().now() < 12'000'000) {
     cluster.run_for(12'000'000 - cluster.simulator().now());
   }
-  EXPECT_EQ(cluster.total_recoveries(), 3u);
+  EXPECT_EQ(cluster.total_counter("recoveries"), 3u);
   EXPECT_TRUE(cluster.check_agreement());
   for (size_t i = 0; i < cluster.num_clients(); ++i) {
     EXPECT_EQ(cluster.client(i).completed(), 400u);
@@ -1253,15 +1253,15 @@ TEST_P(CrossProtocolRecovery, RestartedReplicaServesPreCheckpointDuplicateFromCa
   cluster.run_for(2'000'000);  // recover + settle
 
   const ReplicaHandle& restarted = cluster.replica(2);
-  EXPECT_EQ(restarted.runtime_stats().recoveries, 1u);
+  EXPECT_EQ(restarted.counter("recoveries"), 1u);
 
   // Replay client n's first request (timestamp 1 — executed long before the
   // stable checkpoint) against the restarted replica.
   ClientId client = cluster.n();  // first client's node id == its ClientId
   ASSERT_NE(restarted.runtime().replies().find(client), nullptr)
       << "recovered reply cache lost the client";
-  uint64_t hits_before = restarted.runtime_stats().reply_cache_hits;
-  uint64_t executed_before = restarted.runtime_stats().requests_executed;
+  uint64_t hits_before = restarted.counter("reply_cache_hits");
+  uint64_t executed_before = restarted.counter("requests_executed");
   Request dup;
   dup.client = client;
   dup.timestamp = 1;
@@ -1270,9 +1270,9 @@ TEST_P(CrossProtocolRecovery, RestartedReplicaServesPreCheckpointDuplicateFromCa
                            make_message(ClientRequestMsg{dup}));
   cluster.run_for(200'000);
 
-  EXPECT_GT(restarted.runtime_stats().reply_cache_hits, hits_before)
+  EXPECT_GT(restarted.counter("reply_cache_hits"), hits_before)
       << "duplicate was not served from the recovered reply cache";
-  EXPECT_EQ(restarted.runtime_stats().requests_executed, executed_before)
+  EXPECT_EQ(restarted.counter("requests_executed"), executed_before)
       << "duplicate re-executed instead of being served from cache";
   EXPECT_TRUE(cluster.check_agreement());
 }
@@ -1317,19 +1317,15 @@ class ChunkedStateTransfer : public ::testing::TestWithParam<ProtocolKind> {
     return opts;
   }
 
-  const runtime::RuntimeStats& stats_of(Cluster& cluster, ReplicaId r) const {
-    return cluster.replica(r).runtime_stats();
-  }
-
   /// Runs until the wiped replica has stored its first chunks but not yet
   /// adopted the checkpoint — i.e. provably mid-transfer.
   ::testing::AssertionResult run_until_mid_transfer(Cluster& cluster,
                                                     ReplicaId fetcher) {
     for (int i = 0; i < 2000; ++i) {
-      if (stats_of(cluster, fetcher).state_transfer_chunks_fetched > 0) break;
+      if (cluster.replica(fetcher).counter("state_transfer_chunks_fetched") > 0) break;
       cluster.run_for(5'000);
     }
-    if (stats_of(cluster, fetcher).state_transfer_chunks_fetched == 0) {
+    if (cluster.replica(fetcher).counter("state_transfer_chunks_fetched") == 0) {
       return ::testing::AssertionFailure() << "state transfer never started";
     }
     if (cluster.replica(fetcher).last_executed() != 0) {
@@ -1381,12 +1377,12 @@ TEST_P(ChunkedStateTransfer, WipedReplicaRejoinsViaMultiChunkEvmTransfer) {
   ASSERT_TRUE(run_until_adopted(cluster, 4)) << "wiped replica never caught up";
 
   const ReplicaHandle& restarted = cluster.replica(4);
-  EXPECT_EQ(restarted.runtime_stats().recoveries, 0u);  // nothing local survived
-  EXPECT_GT(restarted.runtime_stats().state_transfers, 0u);
+  EXPECT_EQ(restarted.counter("recoveries"), 0u);  // nothing local survived
+  EXPECT_GT(restarted.counter("state_transfers"), 0u);
   // The EVM snapshot spans many chunks at a 1KB chunk size.
-  EXPECT_GE(restarted.runtime_stats().state_transfer_chunks_fetched, 4u);
+  EXPECT_GE(restarted.counter("state_transfer_chunks_fetched"), 4u);
   EXPECT_GT(restarted.last_stable(), 0u);
-  EXPECT_EQ(restarted.runtime_stats().state_transfer_invalid_chunks, 0u);
+  EXPECT_EQ(restarted.counter("state_transfer_invalid_chunks"), 0u);
   EXPECT_TRUE(cluster.check_agreement());
   for (size_t i = 0; i < cluster.num_clients(); ++i) {
     EXPECT_EQ(cluster.client(i).completed(), 40u);
@@ -1413,9 +1409,10 @@ TEST_P(ChunkedStateTransfer, MidTransferDonorCrashIsSurvivedByResume) {
   cluster.crash_replica(2);
   ASSERT_TRUE(run_until_adopted(cluster, 4)) << "transfer never completed";
 
-  const runtime::RuntimeStats& st = stats_of(cluster, 4);
-  EXPECT_GE(st.state_transfer_resumes, 1u) << "fetch restarted instead of resuming";
-  EXPECT_EQ(st.state_transfer_invalid_chunks, 0u);
+  const ReplicaHandle& st = cluster.replica(4);
+  EXPECT_GE(st.counter("state_transfer_resumes"), 1u)
+      << "fetch restarted instead of resuming";
+  EXPECT_EQ(st.counter("state_transfer_invalid_chunks"), 0u);
   EXPECT_GT(cluster.replica(4).last_stable(), 0u);
   EXPECT_TRUE(cluster.check_agreement());
 }
@@ -1441,10 +1438,10 @@ TEST_P(ChunkedStateTransfer, PartitionDuringTransferResumesAfterHeal) {
     if (r != 4) cluster.network().disconnect(fetcher_node, cluster.replica(r).node());
   }
   cluster.run_for(300'000);  // drain whatever was already in flight
-  uint64_t fetched_at_cut = stats_of(cluster, 4).state_transfer_chunks_fetched;
+  uint64_t fetched_at_cut = cluster.replica(4).counter("state_transfer_chunks_fetched");
   ASSERT_GT(fetched_at_cut, 0u);
   cluster.run_for(1'000'000);  // several retry ticks fire into the void
-  EXPECT_EQ(stats_of(cluster, 4).state_transfer_chunks_fetched, fetched_at_cut)
+  EXPECT_EQ(cluster.replica(4).counter("state_transfer_chunks_fetched"), fetched_at_cut)
       << "chunks crossed a cut link";
   EXPECT_EQ(cluster.replica(4).last_executed(), 0u);
 
@@ -1453,11 +1450,11 @@ TEST_P(ChunkedStateTransfer, PartitionDuringTransferResumesAfterHeal) {
   }
   ASSERT_TRUE(run_until_adopted(cluster, 4)) << "transfer never completed after heal";
 
-  const runtime::RuntimeStats& st = stats_of(cluster, 4);
+  const ReplicaHandle& st = cluster.replica(4);
   // The partition's retry ticks ran with partial data in hand: resumes, and
   // the pre-partition chunks were kept (total fetched only grew).
-  EXPECT_GE(st.state_transfer_resumes, 1u);
-  EXPECT_GT(st.state_transfer_chunks_fetched, fetched_at_cut);
+  EXPECT_GE(st.counter("state_transfer_resumes"), 1u);
+  EXPECT_GT(st.counter("state_transfer_chunks_fetched"), fetched_at_cut);
   EXPECT_GT(cluster.replica(4).last_stable(), 0u);
   EXPECT_TRUE(cluster.check_agreement());
 }
@@ -1479,8 +1476,8 @@ TEST_P(ChunkedStateTransfer, CorruptChunkDetectedAndRefetchedFromHonestDonor) {
   }
   ASSERT_TRUE(run_until_adopted(cluster, 4)) << "wiped replica never caught up";
 
-  const runtime::RuntimeStats& st = stats_of(cluster, 4);
-  EXPECT_GT(st.state_transfer_invalid_chunks, 0u)
+  const ReplicaHandle& st = cluster.replica(4);
+  EXPECT_GT(st.counter("state_transfer_invalid_chunks"), 0u)
       << "the corrupt donor was never detected";
   EXPECT_GT(cluster.replica(4).last_stable(), 0u);
   EXPECT_TRUE(cluster.check_agreement());
@@ -1529,24 +1526,25 @@ TEST_P(ChunkedStateTransfer, BrieflyLaggingReplicaRejoinsViaDelta) {
   cluster.restart_replica(3);  // disk intact: recovers, then probes with a base
 
   for (int i = 0; i < 400; ++i) {
-    if (stats_of(cluster, 3).delta_chunks_skipped > 0 &&
+    if (cluster.replica(3).counter("delta_chunks_skipped") > 0 &&
         cluster.replica(3).last_stable() > stable_at_crash) {
       break;
     }
     cluster.run_for(50'000);
   }
-  const runtime::RuntimeStats& st = stats_of(cluster, 3);
-  EXPECT_EQ(st.recoveries, 1u);  // local WAL survived
-  EXPECT_GT(st.state_transfers, 0u);
-  EXPECT_GT(st.delta_chunks_skipped, 0u)
+  const ReplicaHandle& st = cluster.replica(3);
+  EXPECT_EQ(st.counter("recoveries"), 1u);  // local WAL survived
+  EXPECT_GT(st.counter("state_transfers"), 0u);
+  EXPECT_GT(st.counter("delta_chunks_skipped"), 0u)
       << "delta rejoin never engaged (full transfer instead)";
   EXPECT_GT(cluster.replica(3).last_stable(), stable_at_crash);
   // The point of the delta: with ~32 of 4096 keys hot, the bytes fetched over
   // the wire are a small fraction of the bytes seeded from the local base.
-  EXPECT_GE(st.delta_bytes_saved, 3 * st.state_transfer_bytes_transferred)
-      << "delta saved too little: " << st.delta_bytes_saved << " saved vs "
-      << st.state_transfer_bytes_transferred << " fetched";
-  EXPECT_EQ(st.state_transfer_invalid_chunks, 0u);
+  EXPECT_GE(st.counter("delta_bytes_saved"),
+            3 * st.counter("state_transfer_bytes_transferred"))
+      << "delta saved too little: " << st.counter("delta_bytes_saved") << " saved vs "
+      << st.counter("state_transfer_bytes_transferred") << " fetched";
+  EXPECT_EQ(st.counter("state_transfer_invalid_chunks"), 0u);
   EXPECT_TRUE(cluster.check_agreement());
 }
 
@@ -1575,12 +1573,12 @@ TEST_P(ChunkedStateTransfer, RepeatedDiskWipeOfSameReplicaRefetchesFull) {
     cluster.restart_replica(4, /*wipe_storage=*/true);
     ASSERT_TRUE(run_until_adopted(cluster, 4))
         << "wiped replica never caught up (wipe #" << wipe << ")";
-    const runtime::RuntimeStats& st = stats_of(cluster, 4);  // this incarnation
-    EXPECT_EQ(st.recoveries, 0u) << "nothing local should survive a wipe";
-    EXPECT_GT(st.state_transfer_chunks_fetched, 0u);
-    EXPECT_EQ(st.delta_chunks_skipped, 0u)
+    const ReplicaHandle& st = cluster.replica(4);  // this incarnation
+    EXPECT_EQ(st.counter("recoveries"), 0u) << "nothing local should survive a wipe";
+    EXPECT_GT(st.counter("state_transfer_chunks_fetched"), 0u);
+    EXPECT_EQ(st.counter("delta_chunks_skipped"), 0u)
         << "wipe #" << wipe << " attempted a delta without a base";
-    EXPECT_EQ(st.delta_bytes_saved, 0u);
+    EXPECT_EQ(st.counter("delta_bytes_saved"), 0u);
     cluster.run_for(1'000'000);  // participate before the next wipe
   }
   EXPECT_TRUE(cluster.check_agreement());
@@ -1632,19 +1630,19 @@ TEST_P(ChunkedStateTransfer, DeltaHistoryDepthBoundsDelta) {
       if (cluster.replica(3).last_stable() > stable_at_crash) break;
       cluster.run_for(50'000);
     }
-    const runtime::RuntimeStats& st = stats_of(cluster, 3);
+    const ReplicaHandle& st = cluster.replica(3);
     EXPECT_GT(cluster.replica(3).last_stable(), stable_at_crash)
         << "rejoiner never caught up";
-    EXPECT_EQ(st.recoveries, 1u);
-    EXPECT_GT(st.state_transfer_chunks_fetched, 0u);
+    EXPECT_EQ(st.counter("recoveries"), 1u);
+    EXPECT_GT(st.counter("state_transfer_chunks_fetched"), 0u);
     if (deep) {
-      EXPECT_GT(st.delta_chunks_skipped, 0u)
+      EXPECT_GT(st.counter("delta_chunks_skipped"), 0u)
           << "deep history should have served a delta";
     } else {
-      EXPECT_EQ(st.delta_chunks_skipped, 0u)
+      EXPECT_EQ(st.counter("delta_chunks_skipped"), 0u)
           << "base beyond the history depth must fall back to full-chunked";
     }
-    EXPECT_EQ(st.state_transfer_invalid_chunks, 0u);
+    EXPECT_EQ(st.counter("state_transfer_invalid_chunks"), 0u);
     EXPECT_TRUE(cluster.check_agreement());
   }
 }
@@ -1673,11 +1671,11 @@ TEST_P(ChunkedStateTransfer, ThrottledDonorsStillCompleteWipedRejoin) {
 
   uint64_t throttled = 0;
   for (ReplicaId r = 1; r <= cluster.n(); ++r) {
-    if (r != 4) throttled += stats_of(cluster, r).donor_chunks_throttled;
+    if (r != 4) throttled += cluster.replica(r).counter("donor_chunks_throttled");
   }
   EXPECT_GT(throttled, 0u) << "rate limiter never engaged";
   EXPECT_GT(cluster.replica(4).last_stable(), 0u);
-  EXPECT_EQ(stats_of(cluster, 4).state_transfer_invalid_chunks, 0u);
+  EXPECT_EQ(cluster.replica(4).counter("state_transfer_invalid_chunks"), 0u);
   EXPECT_TRUE(cluster.check_agreement());
 }
 
@@ -1747,15 +1745,15 @@ TEST_P(Reconfiguration, AddedReplicasJoinViaStateTransferAndSurviveNewF) {
   cluster.submit_reconfig({a, b, c}, {}, /*new_f=*/2);
 
   ASSERT_TRUE(run_until(cluster, [&] {
-    return cluster.replica(a).runtime_stats().joins_completed == 1 &&
-           cluster.replica(b).runtime_stats().joins_completed == 1 &&
-           cluster.replica(c).runtime_stats().joins_completed == 1;
+    return cluster.replica(a).counter("joins_completed") == 1 &&
+           cluster.replica(b).counter("joins_completed") == 1 &&
+           cluster.replica(c).counter("joins_completed") == 1;
   })) << "added replicas never joined";
-  EXPECT_GE(cluster.replica(1).runtime_stats().epochs_activated, 1u);
+  EXPECT_GE(cluster.replica(1).counter("epochs_activated"), 1u);
   for (ReplicaId r : {a, b, c}) {
-    const runtime::RuntimeStats& st = cluster.replica(r).runtime_stats();
-    EXPECT_EQ(st.recoveries, 0u) << "joiner " << r << " had local state";
-    EXPECT_GT(st.state_transfer_chunks_fetched, 0u)
+    const ReplicaHandle& st = cluster.replica(r);
+    EXPECT_EQ(st.counter("recoveries"), 0u) << "joiner " << r << " had local state";
+    EXPECT_GT(st.counter("state_transfer_chunks_fetched"), 0u)
         << "joiner " << r << " did not arrive via wiped state transfer";
     EXPECT_GT(cluster.replica(r).last_executed(), 0u);
   }
@@ -1787,8 +1785,8 @@ TEST_P(Reconfiguration, RemovedReplicasDrainAndClusterStaysLive) {
 
   cluster.submit_reconfig({}, {5, 6, 7}, /*new_f=*/1);
   ASSERT_TRUE(run_until(cluster, [&] {
-    return cluster.replica(1).runtime_stats().epochs_activated >= 1 &&
-           cluster.replica(5).runtime_stats().epochs_activated >= 1;
+    return cluster.replica(1).counter("epochs_activated") >= 1 &&
+           cluster.replica(5).counter("epochs_activated") >= 1;
   })) << "removal epoch never activated";
 
   // Drain: the removed replicas refuse post-epoch work — their execution
@@ -1815,7 +1813,7 @@ TEST_P(Reconfiguration, RemovedReplicasDrainAndClusterStaysLive) {
   cluster.run_for(2'000'000);
   EXPECT_EQ(cluster.replica(6).last_executed(), frozen6)
       << "restarted removed replica resumed executing";
-  EXPECT_EQ(cluster.replica(6).runtime_stats().state_transfers, 0u)
+  EXPECT_EQ(cluster.replica(6).counter("state_transfers"), 0u)
       << "restarted removed replica probes state transfer forever";
   EXPECT_TRUE(cluster.check_agreement());
 }
@@ -1833,8 +1831,8 @@ TEST_P(Reconfiguration, IdleClusterNoopFillsToTheActivationBoundary) {
 
   cluster.submit_reconfig({}, {5, 6, 7}, /*new_f=*/1);
   ASSERT_TRUE(run_until(cluster, [&] {
-    return cluster.replica(1).runtime_stats().epochs_activated >= 1 &&
-           cluster.replica(5).runtime_stats().epochs_activated >= 1;
+    return cluster.replica(1).counter("epochs_activated") >= 1 &&
+           cluster.replica(5).counter("epochs_activated") >= 1;
   })) << "idle cluster never reached the activation boundary";
 
   uint64_t noops = 0;
@@ -1892,7 +1890,7 @@ TEST(PbftWipedRejoin, AfterGrowReconfigCatchesUp) {
   cluster.submit_reconfig({a, b, c}, {}, /*new_f=*/2);
   bool joined = false;
   for (int i = 0; i < 600 && !joined; ++i) {
-    joined = cluster.replica(c).runtime_stats().joins_completed == 1;
+    joined = cluster.replica(c).counter("joins_completed") == 1;
     cluster.run_for(100'000);
   }
   ASSERT_TRUE(joined) << "grow reconfiguration never completed";
@@ -1905,13 +1903,13 @@ TEST(PbftWipedRejoin, AfterGrowReconfigCatchesUp) {
   cluster.restart_replica(3, /*wipe_storage=*/true);
   cluster.run_for(10'000'000);
 
-  const runtime::RuntimeStats& st = cluster.replica(3).runtime_stats();
-  EXPECT_GE(st.state_transfers, 1u) << "wiped replica never fetched state";
+  const ReplicaHandle& st = cluster.replica(3);
+  EXPECT_GE(st.counter("state_transfers"), 1u) << "wiped replica never fetched state";
   EXPECT_GE(cluster.replica(3).last_executed(),
             cluster.replica(1).last_stable())
       << "wiped replica stranded behind the stable frontier (bug 1/2 "
          "resurfaced)";
-  EXPECT_LT(cluster.pbft_replica(3)->stats().checkpoint_certs_rejected, 5u)
+  EXPECT_LT(cluster.replica(3).counter("checkpoint_certs_rejected"), 5u)
       << "fetcher stuck rejecting legitimate old-epoch certificates";
   EXPECT_TRUE(cluster.check_agreement());
 }
@@ -1943,12 +1941,12 @@ TEST_P(PrimaryMidViewChangeRestart, RecoversLivenessWithoutDoubleExecution) {
   // progress timers (2s) then start the view change — which stalls short of
   // its 2f+1 quorum with only two replicas alive.
   cluster.run_for(10'000'000);
-  EXPECT_GT(cluster.total_view_changes(), 0u) << "view change never started";
+  EXPECT_GT(cluster.total_counter("view_changes"), 0u) << "view change never started";
   EXPECT_EQ(cluster.replica(2).view(), 0u) << "view change completed early";
 
   cluster.restart_replica(1);  // the old primary rejoins mid-view-change
   ASSERT_TRUE(cluster.run_until_done(900'000'000)) << "liveness never resumed";
-  EXPECT_EQ(cluster.replica(1).runtime_stats().recoveries, 1u);
+  EXPECT_EQ(cluster.replica(1).counter("recoveries"), 1u);
   EXPECT_GT(cluster.replica(2).view(), 0u) << "no later view took over";
   for (size_t i = 0; i < cluster.num_clients(); ++i) {
     EXPECT_EQ(cluster.client(i).completed(), 150u);
@@ -1957,14 +1955,14 @@ TEST_P(PrimaryMidViewChangeRestart, RecoversLivenessWithoutDoubleExecution) {
   // the whole run (including the clients' retry storms while wedged) — each
   // of the 300 requests executed at most once on them.
   for (ReplicaId r : {2u, 4u}) {
-    EXPECT_LE(cluster.replica(r).runtime_stats().requests_executed, 300u)
+    EXPECT_LE(cluster.replica(r).counter("requests_executed"), 300u)
         << "replica " << r << " re-executed retried requests";
   }
   // And the sharp form: a replayed duplicate of an executed request is served
   // from the cache, not re-executed.
   ClientId client = cluster.n();  // first client's node id == its ClientId
   const ReplicaHandle& survivor = cluster.replica(2);
-  uint64_t executed_before = survivor.runtime_stats().requests_executed;
+  uint64_t executed_before = survivor.counter("requests_executed");
   Request dup;
   dup.client = client;
   dup.timestamp = 1;
@@ -1972,7 +1970,7 @@ TEST_P(PrimaryMidViewChangeRestart, RecoversLivenessWithoutDoubleExecution) {
   cluster.network().inject(client, survivor.node(),
                            make_message(ClientRequestMsg{dup}));
   cluster.run_for(200'000);
-  EXPECT_EQ(survivor.runtime_stats().requests_executed, executed_before)
+  EXPECT_EQ(survivor.counter("requests_executed"), executed_before)
       << "duplicate re-executed instead of being served from cache";
   EXPECT_TRUE(cluster.check_agreement());
 }
@@ -2030,19 +2028,19 @@ TEST_P(FastKvDeltaTransfer, BrieflyLaggingReplicaSkipsUnchangedChunks) {
   cluster.restart_replica(3);  // disk intact: probes with a delta base
 
   for (int i = 0; i < 400; ++i) {
-    if (cluster.replica(3).runtime_stats().delta_chunks_skipped > 0 &&
+    if (cluster.replica(3).counter("delta_chunks_skipped") > 0 &&
         cluster.replica(3).last_stable() > stable_at_crash) {
       break;
     }
     cluster.run_for(50'000);
   }
-  const runtime::RuntimeStats& st = cluster.replica(3).runtime_stats();
-  EXPECT_EQ(st.recoveries, 1u);
-  EXPECT_GT(st.delta_chunks_skipped, 0u)
+  const ReplicaHandle& st = cluster.replica(3);
+  EXPECT_EQ(st.counter("recoveries"), 1u);
+  EXPECT_GT(st.counter("delta_chunks_skipped"), 0u)
       << "FastKv delta rejoin degraded to a full fetch";
-  EXPECT_GT(st.delta_bytes_saved, 0u);
+  EXPECT_GT(st.counter("delta_bytes_saved"), 0u);
   EXPECT_GT(cluster.replica(3).last_stable(), stable_at_crash);
-  EXPECT_EQ(st.state_transfer_invalid_chunks, 0u);
+  EXPECT_EQ(st.counter("state_transfer_invalid_chunks"), 0u);
   EXPECT_TRUE(cluster.check_agreement());
 }
 
@@ -2140,7 +2138,7 @@ TEST(PbftMaliciousDonor, FabricatedCheckpointNeedsQuorumCertificate) {
   EXPECT_LE(adopted, honest + interval) << "fabricated checkpoint adopted";
   // The fault is real: the fabricated manifest reached the fetcher and was
   // turned away by the certificate check.
-  EXPECT_GT(cluster.pbft_replica(4)->stats().checkpoint_certs_rejected, 0u)
+  EXPECT_GT(cluster.replica(4).counter("checkpoint_certs_rejected"), 0u)
       << "the fabricated manifest was never rejected";
   EXPECT_TRUE(cluster.check_agreement());
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """BFT protocol-safety lint suite (run as `ctest -L lint`; docs/static_analysis.md).
 
-Five checks grounded in this repo's real hazard classes — each one encodes an
+Four checks grounded in this repo's real hazard classes — each one encodes an
 invariant that a reviewer cannot reliably police by eye and whose violation
 has already bitten (or would silently bite) replay determinism, wire
 compatibility, or reconfiguration safety:
@@ -19,14 +19,8 @@ compatibility, or reconfiguration safety:
                justification naming its scope (boot, view-change, or
                epoch-derived parameter).
   wire_format  Wire Tag values are unique, every Tag maps to a
-               Message variant alternative and vice versa, every message type
-               is serde-round-tripped in tests/message_test.cpp, and the
-               ExperimentPoint bench cache bumps kCacheVersion whenever the
-               point's field list changes (manifest-pinned).
-  counters     Every uint64/int64 field of the *Stats structs is visited by
-               its struct's for_each (the single descriptor the harness uses
-               to fold counters into RunMetrics/bench JSON) or carries a
-               justified exemption.
+               Message variant alternative and vice versa, and every message
+               type is serde-round-tripped in tests/message_test.cpp.
 
 Usage: bft_lint.py --check <name> [--root <repo>]   (or --check all)
 Exit status is non-zero with one line per finding; suppression goes through
@@ -42,7 +36,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import lintlib
-from lintlib import Allowlist, Finding, finish, load_sources, struct_body
+from lintlib import Allowlist, Finding, finish, load_sources
 
 
 def allowlist(root: Path, check: str) -> Allowlist:
@@ -174,7 +168,7 @@ def check_epoch_math(root: Path) -> int:
 
 
 # ---------------------------------------------------------------------------
-# wire_format: tags, serde coverage, and bench-cache versioning discipline
+# wire_format: tag uniqueness, tag/variant agreement, and serde coverage
 
 def parse_enum(text: str, name: str) -> list[tuple[str, int]]:
     m = re.search(rf"enum class {name}\s*:\s*\w+\s*{{(.*?)}};", text, re.S)
@@ -193,22 +187,6 @@ def parse_enum(text: str, name: str) -> list[tuple[str, int]]:
         out.append((em.group(1), value))
         next_value = value + 1
     return out
-
-
-def parse_fields(body: str) -> list[str]:
-    """Field names of a struct body: one declaration per line, last
-    identifier before `=` or `;` (methods and using-decls are skipped)."""
-    fields = []
-    for line in body.splitlines():
-        line = line.strip()
-        if not line or line.startswith(("using ", "template", "static")):
-            continue
-        if re.search(r"\)\s*(?:const\s*)?[{;]", line):  # method decl/def
-            continue
-        m = re.match(r"[\w:<>,&()\s]+?(\w+)\s*(?:=[^;]*)?;", line)
-        if m:
-            fields.append(m.group(1))
-    return fields
 
 
 def check_wire_format(root: Path) -> int:
@@ -268,122 +246,7 @@ def check_wire_format(root: Path) -> int:
             "auto-derived exhaustiveness test (AllWireMessages) missing — "
             "it is what forces future wire types through serde testing"))
 
-    # (d) ExperimentPoint cache-key discipline: every field participates in
-    # cache_key() (or is exempted in the manifest), and any change to the
-    # field list bumps kCacheVersion (manifest-pinned).
-    exp_h = "\n".join(lintlib.strip_comments(
-        (root / "src/harness/experiment.h").read_text(encoding="utf-8")))
-    exp_cpp = "\n".join(lintlib.strip_comments(
-        (root / "src/harness/experiment.cpp").read_text(encoding="utf-8")))
-    body = struct_body(exp_h, "ExperimentPoint")
-    fields = parse_fields(body) if body else []
-    if not fields:
-        findings.append(Finding("src/harness/experiment.h", 1,
-                                "ExperimentPoint", "ExperimentPoint not found"))
-    km = re.search(r"kCacheVersion\s*=\s*(\d+)", exp_cpp)
-    version = int(km.group(1)) if km else -1
-    ckm = re.search(r"std::string cache_key\([^)]*\)\s*{(.*?)\n}", exp_cpp, re.S)
-    key_body = ckm.group(1) if ckm else ""
-
-    manifest_file = root / "tools/lint/wire_format.manifest"
-    manifest: dict[str, str] = {}
-    exempt: dict[str, str] = {}
-    if manifest_file.exists():
-        for raw in manifest_file.read_text(encoding="utf-8").splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("exempt="):
-                name, _, why = line[len("exempt="):].partition("|")
-                exempt[name.strip()] = why.strip()
-            else:
-                k, _, v = line.partition("=")
-                manifest[k.strip()] = v.strip()
-    for name, why in exempt.items():
-        if not why:
-            findings.append(Finding(
-                "tools/lint/wire_format.manifest", 1, name,
-                f"exempt field {name} has no justification"))
-        if name not in fields:
-            findings.append(Finding(
-                "tools/lint/wire_format.manifest", 1, name,
-                f"exempt field {name} is not an ExperimentPoint field"))
-    for name in fields:
-        if name in exempt:
-            continue
-        if not re.search(rf"\bp\.{name}\b", key_body):
-            findings.append(Finding(
-                "src/harness/experiment.cpp", 1, name,
-                f"ExperimentPoint::{name} missing from cache_key() — two "
-                f"points differing only in {name} would share a cache file"))
-    pinned_fields = manifest.get("fields", "").split(",") if manifest else []
-    pinned_fields = [f for f in pinned_fields if f]
-    pinned_version = int(manifest.get("cache_version", "-1"))
-    if fields and pinned_fields != fields:
-        if pinned_version == version:
-            findings.append(Finding(
-                "src/harness/experiment.h", 1, "ExperimentPoint",
-                f"ExperimentPoint field list changed "
-                f"({sorted(set(fields) ^ set(pinned_fields))}) without "
-                f"bumping kCacheVersion — stale cache files from older "
-                f"builds would mis-parse; bump kCacheVersion in "
-                f"experiment.cpp and update tools/lint/wire_format.manifest"))
-        else:
-            findings.append(Finding(
-                "tools/lint/wire_format.manifest", 1, "fields",
-                f"manifest field list out of date — set fields="
-                f"{','.join(fields)}"))
-    elif version != pinned_version:
-        findings.append(Finding(
-            "tools/lint/wire_format.manifest", 1, "cache_version",
-            f"manifest pins kCacheVersion={pinned_version} but "
-            f"experiment.cpp has {version} — update the manifest"))
-
-    return finish("wire_format", findings, None, 5)
-
-
-# ---------------------------------------------------------------------------
-# counters: every stats field reaches the metrics registry (or is exempted)
-
-def check_counters(root: Path) -> int:
-    findings: list[Finding] = []
-    structs = 0
-    for src in load_sources(root, suffixes=(".h",)):
-        for m in re.finditer(r"struct\s+(\w*Stats)\b[^;{]*{", src.text):
-            name = m.group(1)
-            body = struct_body(src.text, name)
-            if body is None:
-                continue
-            counters = re.findall(r"\b(?:u?int64_t)\s+(\w+)\s*=", body)
-            if not counters:
-                continue
-            structs += 1
-            visited = set(re.findall(r'fn\("(\w+)"\s*,', body))
-            derived = "RuntimeStats::for_each(fn)" in body
-            has_for_each = "for_each" in body
-            if not has_for_each:
-                findings.append(Finding(
-                    src.rel, 1, name,
-                    f"{name} has counters but no for_each descriptor — "
-                    f"nothing threads them into RunMetrics/bench JSON"))
-                continue
-            base = name != "RuntimeStats" and "RuntimeStats" in \
-                re.search(rf"struct\s+{name}\b([^{{]*){{", src.text).group(1)
-            if base and not derived:
-                findings.append(Finding(
-                    src.rel, 1, name,
-                    f"{name} derives from RuntimeStats but its for_each "
-                    f"does not call RuntimeStats::for_each(fn) — the base "
-                    f"counters would silently vanish from the registry"))
-            for counter in counters:
-                if counter not in visited:
-                    findings.append(Finding(
-                        src.rel, 1, f"{name}::{counter}",
-                        f"counter {name}::{counter} is not visited by "
-                        f"for_each — it can never reach RunMetrics or the "
-                        f"bench JSON; visit it or exempt it with a "
-                        f"justification"))
-    return finish("counters", findings, allowlist(root, "counters"), structs)
+    return finish("wire_format", findings, None, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +256,6 @@ CHECKS = {
     "entropy": check_entropy,
     "epoch_math": check_epoch_math,
     "wire_format": check_wire_format,
-    "counters": check_counters,
 }
 
 

@@ -9,7 +9,6 @@ explained and current — see docs/static_analysis.md.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -162,21 +161,3 @@ def finish(check: str, findings: list[Finding], allow: Allowlist | None,
     print(f"lint:{check}: OK ({scanned} files scanned{suffix})")
     return 0
 
-
-IDENT = r"[A-Za-z_]\w*"
-
-
-def struct_body(text: str, name: str) -> str | None:
-    """Extracts the top-level body of `struct <name> ... { ... };`."""
-    m = re.search(rf"struct\s+{name}\b[^;{{]*{{", text)
-    if not m:
-        return None
-    depth = 1
-    i = m.end()
-    while i < len(text) and depth:
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-        i += 1
-    return text[m.end():i - 1]
