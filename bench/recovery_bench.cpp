@@ -31,16 +31,16 @@ using namespace sbft::harness;
 
 namespace {
 
-Bytes encoded_block(SeqNum s, uint32_t ops_per_block) {
-  Block block;
+Block make_block(SeqNum s, uint32_t ops_per_block) {
+  std::vector<Request> requests;
   for (uint32_t i = 0; i < ops_per_block; ++i) {
     Request req;
     req.client = 100 + i;
     req.timestamp = s;
     req.op = Bytes(64, static_cast<uint8_t>(s + i));
-    block.requests.push_back(std::move(req));
+    requests.push_back(std::move(req));
   }
-  return encode_message(Message(PrePrepareMsg{s, 0, std::move(block)}));
+  return Block(std::move(requests));
 }
 
 struct ReplayResult {
@@ -52,7 +52,7 @@ struct ReplayResult {
 ReplayResult measure_replay(uint64_t blocks, bool with_snapshot) {
   auto ledger = std::make_shared<storage::MemoryLedgerStorage>();
   for (SeqNum s = 1; s <= blocks; ++s) {
-    ledger->append_block(s, as_span(encoded_block(s, /*ops_per_block=*/4)));
+    ledger->append_block(s, 0, make_block(s, /*ops_per_block=*/4));
   }
   auto factory = [] { return std::make_unique<FastKvService>(); };
   auto wal = std::make_shared<recovery::MemoryWal>();
@@ -65,7 +65,7 @@ ReplayResult measure_replay(uint64_t blocks, bool with_snapshot) {
     auto service = factory();
     runtime::ReplyCache cache;
     for (SeqNum s = 1; s <= half; ++s) {
-      for (const Request& r : state->replayed[s - 1].block.requests) {
+      for (const Request& r : state->replayed[s - 1].block.requests()) {
         cache.store(r.client, r.timestamp, s, 0, service->execute(as_span(r.op)));
       }
     }
@@ -453,7 +453,6 @@ int main(int argc, char** argv) {
                               .field("mode", mode)
                               .field("replayed", r.replayed)
                               .field("replayed_bytes", r.replayed_bytes)
-                              .field("recover_wall_ms", r.wall_ms)
                               .str()
                               .c_str());
       std::fflush(stdout);

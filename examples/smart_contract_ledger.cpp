@@ -75,25 +75,31 @@ int main() {
   std::printf("client %u on-chain balance word: %s\n", first_client,
               to_hex(as_span(balance)).c_str());
 
-  // Replay committed blocks into a real on-disk ledger file.
+  // Copy replica 1's decisions from its in-memory ledger into a real on-disk
+  // ledger file; both hand back the same canonical encoding.
   auto path = std::filesystem::temp_directory_path() / "sbft-example-ledger.bin";
   std::filesystem::remove(path);
+  bool identical = true;
   {
     storage::FileLedgerStorage file_ledger(path.string());
-    auto* replica = cluster.sbft_replica(1);
-    for (SeqNum s = 1; s <= replica->last_executed(); ++s) {
-      if (auto digest = replica->committed_digest_of(s)) {
-        file_ledger.append_block(s, ByteSpan{digest->data(), digest->size()});
-      }
+    auto memory_ledger = cluster.replica_ledger(1);
+    for (SeqNum s = 1; s <= memory_ledger->last_seq(); ++s) {
+      auto encoded = memory_ledger->read_block(s);
+      auto msg = encoded ? decode_message(as_span(*encoded)) : std::nullopt;
+      if (!msg || !std::holds_alternative<PrePrepareMsg>(*msg)) continue;
+      const auto& decision = std::get<PrePrepareMsg>(*msg);
+      file_ledger.append_block(s, decision.view, decision.block);
+      identical = identical && file_ledger.read_block(s) == encoded;
     }
     file_ledger.sync();
-    std::printf("persisted %llu block digests to %s\n",
+    std::printf("persisted %llu decision blocks to %s (%s)\n",
                 static_cast<unsigned long long>(file_ledger.block_count()),
-                path.string().c_str());
+                path.string().c_str(),
+                identical ? "byte-identical to the memory ledger" : "MISMATCH");
   }
 
   bool agree = cluster.check_agreement();
   std::printf("agreement audit: %s\n", agree ? "OK" : "VIOLATED");
   std::filesystem::remove(path);
-  return agree ? 0 : 1;
+  return agree && identical ? 0 : 1;
 }

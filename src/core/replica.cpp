@@ -339,7 +339,7 @@ void SbftReplica::try_propose(sim::ActorContext& ctx, bool flush_partial) {
   uint64_t in_flight_reqs = 0;
   for (auto it = slots_.upper_bound(le());
        it != slots_.end() && it->first < next_seq_; ++it) {
-    if (it->second.block) in_flight_reqs += it->second.block->requests.size();
+    if (it->second.block) in_flight_reqs += it->second.block->requests().size();
   }
   avg_pending_ = 0.8 * avg_pending_ +
                  0.2 * static_cast<double>(pending_.size() + in_flight_reqs);
@@ -364,17 +364,17 @@ void SbftReplica::try_propose(sim::ActorContext& ctx, bool flush_partial) {
     uint32_t want = adaptive_batch_size();
     if (pending_.size() < want && !flush_partial) return;
 
-    Block block;
-    while (!pending_.empty() && block.requests.size() < want) {
+    std::vector<Request> requests;
+    while (!pending_.empty() && requests.size() < want) {
       auto [r, arrived] = std::move(pending_.front());
       pending_.pop_front();
       pending_keys_.erase({r.client, r.timestamp});
       h_pending_wait_->record(ctx.now() - arrived);
       ++c_proposed_requests_;
-      block.requests.push_back(std::move(r));
+      requests.push_back(std::move(r));
     }
-    if (block.requests.empty()) return;
-    propose_block(std::move(block), ctx);
+    if (requests.empty()) return;
+    propose_block(Block(std::move(requests)), ctx);
   }
 
   // Primary-driven no-op fill (docs/reconfiguration.md): a staged
@@ -397,11 +397,12 @@ void SbftReplica::propose_block(Block block, sim::ActorContext& ctx) {
   SeqNum s = next_seq_++;
   ctx.charge(ctx.costs().hash_us(block.wire_size()));
 
-  if (behavior_ == ReplicaBehavior::kEquivocate && block.requests.size() >= 2) {
+  if (behavior_ == ReplicaBehavior::kEquivocate && block.requests().size() >= 2) {
     // Send conflicting blocks to the two halves of the cluster: same
     // sequence, different request order => different digests.
-    Block alt = block;
-    std::swap(alt.requests.front(), alt.requests.back());
+    std::vector<Request> swapped = block.requests();
+    std::swap(swapped.front(), swapped.back());
+    Block alt(std::move(swapped));
     auto msg_a = make_message(PrePrepareMsg{s, view_, block});
     auto msg_b = make_message(PrePrepareMsg{s, view_, alt});
     for (const ReplicaInfo& m : epoch().members) {
@@ -437,7 +438,7 @@ void SbftReplica::handle_pre_prepare(NodeId from, const PrePrepareMsg& m,
   // The guards re-run in the completion: a view change or checkpoint may
   // have advanced while verification was in flight.
   int64_t cost =
-      static_cast<int64_t>(m.block.requests.size()) * ctx.costs().rsa_verify_us;
+      static_cast<int64_t>(m.block.requests().size()) * ctx.costs().rsa_verify_us;
   ctx.offload(cost, [this, seq = m.seq, v = m.view,
                      block = m.block](sim::ActorContext& c) mutable {
     if (in_view_change_ || v != view_ || retired_) return;
@@ -462,7 +463,7 @@ void SbftReplica::accept_pre_prepare(SeqNum s, ViewNum v, Block block,
   // executes (when the runtime's staged boundary takes over) or the slot is
   // superseded. Without this, pre-boundary keys could sign post-boundary
   // slots in the window between ordering and executing the marker.
-  for (const Request& req : block.requests) {
+  for (const Request& req : block.requests()) {
     if (decode_reconfig_request(req)) {
       uint64_t interval = opts_.config.checkpoint_interval();
       SeqNum boundary = (s + interval - 1) / interval * interval;
@@ -923,8 +924,8 @@ void SbftReplica::execute_block(SeqNum s, sim::ActorContext& ctx) {
   // replies to every client directly — the f+1-messages-per-client cost that
   // ingredient 3 removes.
   if (!opts_.config.execution_collector && !silent()) {
-    for (size_t l = 0; l < rec.block.requests.size(); ++l) {
-      const Request& req = rec.block.requests[l];
+    for (size_t l = 0; l < rec.block.requests().size(); ++l) {
+      const Request& req = rec.block.requests()[l];
       ClientReplyMsg reply;
       reply.replica = opts_.id;
       reply.client = req.client;
@@ -1052,10 +1053,10 @@ void SbftReplica::send_execute_acks(SeqNum s, sim::ActorContext& ctx) {
   h_exec_to_ack_->record(ctx.now() - rec.executed_at);
   ++c_acked_blocks_;
   trace_.instant(ctx.now(), obs::Category::kSlot, obs::ev::kExecAcks, 0, s,
-                 view_, "requests", rec.block.requests.size());
+                 view_, "requests", rec.block.requests().size());
   merkle::BlockMerkleTree tree(rec.leaves);
-  for (size_t l = 0; l < rec.block.requests.size(); ++l) {
-    const Request& req = rec.block.requests[l];
+  for (size_t l = 0; l < rec.block.requests().size(); ++l) {
+    const Request& req = rec.block.requests()[l];
     ExecuteAckMsg ack;
     ack.client = req.client;
     ack.timestamp = req.timestamp;

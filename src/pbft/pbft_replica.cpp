@@ -118,7 +118,7 @@ void PbftReplica::try_propose(sim::ActorContext& ctx, bool flush_partial) {
   uint64_t in_flight_reqs = 0;
   for (auto it = slots_.upper_bound(le());
        it != slots_.end() && it->first < next_seq_; ++it) {
-    if (it->second.block) in_flight_reqs += it->second.block->requests.size();
+    if (it->second.block) in_flight_reqs += it->second.block->requests().size();
   }
   avg_pending_ = 0.8 * avg_pending_ +
                  0.2 * static_cast<double>(pending_.size() + in_flight_reqs);
@@ -139,13 +139,14 @@ void PbftReplica::try_propose(sim::ActorContext& ctx, bool flush_partial) {
     // block (§VIII); partial blocks only leave on the batch timer.
     const uint32_t want = adaptive_batch_size();
     if (pending_.size() < want && !flush_partial) return;
-    Block block;
-    while (!pending_.empty() && block.requests.size() < want) {
+    std::vector<Request> requests;
+    while (!pending_.empty() && requests.size() < want) {
       Request r = std::move(pending_.front().first);
       pending_.pop_front();
       pending_keys_.erase({r.client, r.timestamp});
-      block.requests.push_back(std::move(r));
+      requests.push_back(std::move(r));
     }
+    Block block(std::move(requests));
     SeqNum s = next_seq_++;
     ctx.charge(ctx.costs().hash_us(block.wire_size()) + ctx.costs().rsa_sign_us);
     broadcast_replicas(ctx, make_message(PrePrepareMsg{s, view_, std::move(block)}));
@@ -183,7 +184,7 @@ void PbftReplica::handle_pre_prepare(NodeId from, const PrePrepareMsg& m,
   // worker lane; acceptance (WAL vote, prepare broadcast) continues serially.
   // The entry guards re-run in the completion.
   int64_t cost = ctx.costs().rsa_verify_us *
-                 static_cast<int64_t>(1 + m.block.requests.size());
+                 static_cast<int64_t>(1 + m.block.requests().size());
   ctx.offload(cost, [this, seq = m.seq, v = m.view,
                      block = m.block](sim::ActorContext& c) mutable {
     if (in_view_change_ || v != view_ || retired_) return;
@@ -203,7 +204,7 @@ void PbftReplica::accept_pre_prepare(SeqNum s, ViewNum v, Block block,
   Digest digest = block.digest();
   // Shadow of the activation boundary (see the SBFT engine): slots beyond a
   // marker-bearing block wait until the marker executes and stages.
-  for (const Request& req : block.requests) {
+  for (const Request& req : block.requests()) {
     if (decode_reconfig_request(req)) {
       uint64_t interval = opts_.config.checkpoint_interval();
       SeqNum boundary = (s + interval - 1) / interval * interval;
@@ -320,8 +321,8 @@ void PbftReplica::try_execute(sim::ActorContext& ctx) {
     if (sl.commit_time > 0) h_commit_to_exec_->record(ctx.now() - sl.commit_time);
     trace_.end(ctx.now(), obs::Category::kSlot, obs::ev::kSlot,
                (sl.pp_view << 32) | s, s, sl.pp_view);
-    for (size_t l = 0; l < rec.block.requests.size(); ++l) {
-      const Request& req = rec.block.requests[l];
+    for (size_t l = 0; l < rec.block.requests().size(); ++l) {
+      const Request& req = rec.block.requests()[l];
       ClientReplyMsg reply;
       reply.replica = opts_.id;
       reply.client = req.client;

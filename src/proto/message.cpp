@@ -20,10 +20,20 @@ Digest Request::digest() const {
   return crypto::sha256(as_span(w.data()));
 }
 
+Block::Block(std::vector<Request> requests) {
+  if (!requests.empty())
+    requests_ = std::make_shared<const std::vector<Request>>(std::move(requests));
+}
+
+const std::vector<Request>& Block::requests() const {
+  static const std::vector<Request> kNone;
+  return requests_ ? *requests_ : kNone;
+}
+
 Digest Block::digest() const {
   Sha256 h;
   h.update("sbft.block");
-  for (const Request& r : requests) {
+  for (const Request& r : requests()) {
     Digest rd = r.digest();
     h.update(as_span(rd));
   }
@@ -32,7 +42,7 @@ Digest Block::digest() const {
 
 size_t Block::wire_size() const {
   size_t total = 4;
-  for (const Request& r : requests) total += r.wire_size();
+  for (const Request& r : requests()) total += r.wire_size();
   return total;
 }
 
@@ -119,17 +129,17 @@ Request get_request(Reader& r) {
 }
 
 void put(Writer& w, const Block& b) {
-  w.u32(static_cast<uint32_t>(b.requests.size()));
-  for (const Request& r : b.requests) put(w, r);
+  w.u32(static_cast<uint32_t>(b.requests().size()));
+  for (const Request& r : b.requests()) put(w, r);
 }
 
 Block get_block(Reader& r) {
-  Block out;
   uint32_t n = r.u32();
-  if (n > 1'000'000) return out;  // refuse absurd sizes
-  out.requests.reserve(n);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) out.requests.push_back(get_request(r));
-  return out;
+  if (n > 1'000'000) return Block{};  // refuse absurd sizes
+  std::vector<Request> requests;
+  requests.reserve(n);
+  for (uint32_t i = 0; i < n && r.ok(); ++i) requests.push_back(get_request(r));
+  return Block(std::move(requests));
 }
 
 void put(Writer& w, const ExecCertificate& c) {

@@ -30,11 +30,24 @@ struct Request {
   size_t wire_size() const { return 16 + 8 + op.size() + client_sig.size(); }
 };
 
-struct Block {
-  std::vector<Request> requests;
+/// A decision block. Its request list is immutable once the block is built
+/// and shared by every copy: the n replicas of a simulated cluster, their
+/// slots, execution records, evidence and ledgers all hold the one list the
+/// primary built (or `decode_message` produced), so copying a Block costs a
+/// reference-count bump. A changed block is a new Block built from a new
+/// vector.
+class Block {
+ public:
+  Block() = default;
+  explicit Block(std::vector<Request> requests);
+
+  const std::vector<Request>& requests() const;
 
   Digest digest() const;
   size_t wire_size() const;
+
+ private:
+  std::shared_ptr<const std::vector<Request>> requests_;  // null when empty
 };
 
 /// h = H(s || v || digest(block)) — the hash every path signs (§V-C).

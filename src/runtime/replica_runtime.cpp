@@ -114,8 +114,8 @@ ExecutionRecord& ReplicaRuntime::execute_block(SeqNum s, ViewNum pp_view,
   ExecutionRecord rec;
   rec.block = block;
   rec.pp_view = pp_view;
-  for (size_t l = 0; l < rec.block.requests.size(); ++l) {
-    const Request& req = rec.block.requests[l];
+  for (size_t l = 0; l < rec.block.requests().size(); ++l) {
+    const Request& req = rec.block.requests()[l];
     Bytes value;
     if (auto delta = decode_reconfig_request(req)) {
       // Reconfiguration marker: staged in the membership manager instead of
@@ -177,10 +177,7 @@ ExecutionRecord& ReplicaRuntime::execute_block(SeqNum s, ViewNum pp_view,
 
   // Persist the decision block (§IX: transactions persist to disk).
   ctx.charge(ctx.costs().persist_us(rec.block.wire_size()));
-  if (opts_.ledger) {
-    opts_.ledger->append_block(
-        s, as_span(encode_message(Message(PrePrepareMsg{s, pp_view, rec.block}))));
-  }
+  if (opts_.ledger) opts_.ledger->append_block(s, pp_view, rec.block);
   le_ = s;
   ++c_blocks_executed_;
   trace_.instant(ctx.now(), obs::Category::kSlot, obs::ev::kExecute, s, s,

@@ -8,18 +8,18 @@
 
 namespace sbft::storage {
 
-void MemoryLedgerStorage::append_block(SeqNum s, ByteSpan encoded) {
-  blocks_.emplace(s, to_bytes(encoded));
+void MemoryLedgerStorage::append_block(SeqNum s, ViewNum v, const Block& block) {
+  decisions_.emplace(s, PrePrepareMsg{s, v, block});
 }
 
 std::optional<Bytes> MemoryLedgerStorage::read_block(SeqNum s) const {
-  auto it = blocks_.find(s);
-  if (it == blocks_.end()) return std::nullopt;
-  return it->second;
+  auto it = decisions_.find(s);
+  if (it == decisions_.end()) return std::nullopt;
+  return encode_message(Message(it->second));
 }
 
 SeqNum MemoryLedgerStorage::last_seq() const {
-  return blocks_.empty() ? 0 : blocks_.rbegin()->first;
+  return decisions_.empty() ? 0 : decisions_.rbegin()->first;
 }
 
 FileLedgerStorage::FileLedgerStorage(const std::string& path) : path_(path) {
@@ -67,8 +67,9 @@ void FileLedgerStorage::load_index() {
   std::fseek(file_, good_end, SEEK_SET);
 }
 
-void FileLedgerStorage::append_block(SeqNum s, ByteSpan encoded) {
+void FileLedgerStorage::append_block(SeqNum s, ViewNum v, const Block& block) {
   if (index_.count(s)) return;  // immutable records: duplicate appends ignored
+  const Bytes encoded = encode_message(Message(PrePrepareMsg{s, v, block}));
   std::fseek(file_, 0, SEEK_END);
   long offset = std::ftell(file_);
   uint8_t header[12];
@@ -76,8 +77,7 @@ void FileLedgerStorage::append_block(SeqNum s, ByteSpan encoded) {
   uint32_t len = static_cast<uint32_t>(encoded.size());
   for (int i = 0; i < 4; ++i) header[8 + i] = static_cast<uint8_t>(len >> (8 * i));
   SBFT_CHECK(std::fwrite(header, 1, sizeof(header), file_) == sizeof(header));
-  if (len > 0)
-    SBFT_CHECK(std::fwrite(encoded.data(), 1, encoded.size(), file_) == encoded.size());
+  SBFT_CHECK(std::fwrite(encoded.data(), 1, encoded.size(), file_) == encoded.size());
   index_[s] = {offset + 12, len};
 }
 

@@ -1,8 +1,11 @@
 // Ledger persistence (§VIII: the paper persists the blockchain through
-// RocksDB; DESIGN.md §3 substitutes an append-only log). Replicas write each
-// committed decision block; the file-backed implementation exercises a real
-// disk path in examples/tests, while the simulator charges persistence cost
-// through the cost model.
+// RocksDB; DESIGN.md §3 substitutes an append-only log). Replicas append each
+// executed decision: the sequence number, the view of the pre-prepare that
+// ordered it, and the block. A ledger hands a decision back in its canonical
+// encoding, encode_message(PrePrepareMsg{s, v, block}), whichever way it keeps
+// it. The memory ledger holds the (shared, immutable) block itself and
+// encodes on read; the file ledger encodes on append. The simulator charges
+// persistence cost through the cost model either way.
 #pragma once
 
 #include <cstdio>
@@ -12,6 +15,7 @@
 #include <string>
 
 #include "common/bytes.h"
+#include "proto/message.h"
 
 namespace sbft::storage {
 
@@ -20,8 +24,11 @@ using SeqNum = uint64_t;
 class ILedgerStorage {
  public:
   virtual ~ILedgerStorage() = default;
-  /// Persists the encoded decision block at sequence `s` (idempotent).
-  virtual void append_block(SeqNum s, ByteSpan encoded) = 0;
+  /// Persists the decision at sequence `s` (idempotent: a sequence number
+  /// already stored keeps its first decision).
+  virtual void append_block(SeqNum s, ViewNum v, const Block& block) = 0;
+  /// The decision at `s` as encode_message(PrePrepareMsg{s, v, block}), or
+  /// nullopt when `s` is not stored.
   virtual std::optional<Bytes> read_block(SeqNum s) const = 0;
   /// Highest sequence number stored, or 0 if empty.
   virtual SeqNum last_seq() const = 0;
@@ -30,20 +37,24 @@ class ILedgerStorage {
   virtual void sync() {}
 };
 
+/// Keeps each decision as a PrePrepareMsg whose block shares its request
+/// list with every other holder of that block (the replicas of a simulated
+/// cluster all keep the one list); read_block encodes on demand.
 class MemoryLedgerStorage final : public ILedgerStorage {
  public:
-  void append_block(SeqNum s, ByteSpan encoded) override;
+  void append_block(SeqNum s, ViewNum v, const Block& block) override;
   std::optional<Bytes> read_block(SeqNum s) const override;
   SeqNum last_seq() const override;
-  uint64_t block_count() const override { return blocks_.size(); }
+  uint64_t block_count() const override { return decisions_.size(); }
 
  private:
-  std::map<SeqNum, Bytes> blocks_;
+  std::map<SeqNum, PrePrepareMsg> decisions_;
 };
 
-/// Append-only file of [u64 seq][u32 len][payload] records with an in-memory
-/// offset index rebuilt on open. Re-appending an existing sequence number is
-/// a no-op (records are immutable once written).
+/// Append-only file of [u64 seq][u32 len][payload] records, the payload being
+/// the decision's canonical encoding, with an in-memory offset index rebuilt
+/// on open. Re-appending an existing sequence number is a no-op (records are
+/// immutable once written).
 class FileLedgerStorage final : public ILedgerStorage {
  public:
   explicit FileLedgerStorage(const std::string& path);
@@ -52,7 +63,7 @@ class FileLedgerStorage final : public ILedgerStorage {
   FileLedgerStorage(const FileLedgerStorage&) = delete;
   FileLedgerStorage& operator=(const FileLedgerStorage&) = delete;
 
-  void append_block(SeqNum s, ByteSpan encoded) override;
+  void append_block(SeqNum s, ViewNum v, const Block& block) override;
   std::optional<Bytes> read_block(SeqNum s) const override;
   SeqNum last_seq() const override;
   uint64_t block_count() const override { return index_.size(); }

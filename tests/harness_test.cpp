@@ -3,6 +3,7 @@
 // replicated cluster.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -154,6 +155,36 @@ TEST(Counters, RestartCountsFromZeroAndKeepsHistograms) {
 TEST(CountersDeathTest, UnregisteredNameAborts) {
   Cluster cluster(small_cluster(ProtocolKind::kSbft));
   EXPECT_DEATH(cluster.replica(1).counter("no_such_counter"), "SBFT_CHECK failed");
+}
+
+// ---------------------------------------------------------------------------
+// Shared decision blocks: every replica holds the primary's one request list.
+
+TEST(SharedBlocks, ExecutionRecordsShareOneRequestListPerSeq) {
+  for (ProtocolKind kind : {ProtocolKind::kSbft, ProtocolKind::kPbft}) {
+    SCOPED_TRACE(protocol_name(kind));
+    Cluster cluster(small_cluster(kind));
+    cluster.run_for(300'000);
+    SeqNum top = cluster.replica(1).actor()->last_executed();
+    for (ReplicaId r = 2; r <= cluster.n(); ++r) {
+      top = std::min(top, cluster.replica(r).actor()->last_executed());
+    }
+    uint64_t shared_seqs = 0;
+    for (SeqNum s = 1; s <= top; ++s) {
+      const std::vector<Request>* list = nullptr;
+      uint32_t holders = 0;
+      for (ReplicaId r = 1; r <= cluster.n(); ++r) {
+        const runtime::ExecutionRecord* rec =
+            cluster.replica(r).actor()->runtime().record(s);
+        if (rec == nullptr) continue;  // collected at a stable checkpoint
+        if (list == nullptr) list = &rec->block.requests();
+        EXPECT_EQ(&rec->block.requests(), list) << "seq " << s << " replica " << r;
+        ++holders;
+      }
+      if (holders == cluster.n() && !list->empty()) ++shared_seqs;
+    }
+    EXPECT_GT(shared_seqs, 0u);
+  }
 }
 
 TEST(EthWorkload, AddressesAreDeterministic) {

@@ -28,9 +28,9 @@ Request random_request() {
 }
 
 Block random_block(size_t requests) {
-  Block b;
-  for (size_t i = 0; i < requests; ++i) b.requests.push_back(random_request());
-  return b;
+  std::vector<Request> list;
+  for (size_t i = 0; i < requests; ++i) list.push_back(random_request());
+  return Block(std::move(list));
 }
 
 ExecCertificate random_cert() {
@@ -246,12 +246,42 @@ TEST(Messages, BlockDigestDependsOnContent) {
   Block a = random_block(3);
   Block b = a;
   EXPECT_EQ(a.digest(), b.digest());
-  b.requests[0].timestamp ^= 1;
-  EXPECT_NE(a.digest(), b.digest());
+  std::vector<Request> changed = a.requests();
+  changed[0].timestamp ^= 1;
+  EXPECT_NE(a.digest(), Block(changed).digest());
   // Order matters.
-  Block c = a;
-  std::swap(c.requests[0], c.requests[1]);
-  EXPECT_NE(a.digest(), c.digest());
+  std::vector<Request> swapped = a.requests();
+  std::swap(swapped[0], swapped[1]);
+  EXPECT_NE(a.digest(), Block(swapped).digest());
+}
+
+TEST(Messages, BlockCopiesShareOneRequestList) {
+  Block a = random_block(4);
+  Block b = a;
+  PrePrepareMsg pp{9, 2, a};
+  EXPECT_EQ(&b.requests(), &a.requests());
+  EXPECT_EQ(&pp.block.requests(), &a.requests());
+  EXPECT_EQ(b.requests().data(), a.requests().data());
+  // Sharing leaves the wire format alone: the copy encodes like the original
+  // and decodes (into a list of its own) to the same bytes.
+  Bytes encoded = encode_message(Message(PrePrepareMsg{9, 2, b}));
+  EXPECT_EQ(encoded, encode_message(Message(pp)));
+  expect_roundtrip(Message(pp));
+  auto decoded = decode_message(as_span(encoded));
+  ASSERT_TRUE(decoded.has_value());
+  const Block& back = std::get<PrePrepareMsg>(*decoded).block;
+  EXPECT_NE(&back.requests(), &a.requests());
+  EXPECT_EQ(back.digest(), a.digest());
+  EXPECT_EQ(back.wire_size(), a.wire_size());
+}
+
+TEST(Messages, EmptyBlockHasNoRequests) {
+  Block none;
+  EXPECT_TRUE(none.requests().empty());
+  EXPECT_TRUE(Block(std::vector<Request>{}).requests().empty());
+  EXPECT_EQ(none.digest(), Block(std::vector<Request>{}).digest());
+  EXPECT_EQ(none.wire_size(), 4u);
+  expect_roundtrip(Message(PrePrepareMsg{1, 0, none}));
 }
 
 TEST(Messages, SlotHashBindsAllInputs) {

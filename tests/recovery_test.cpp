@@ -191,14 +191,12 @@ TEST(FileWalTest, IncrementalCompactionWritesFewerBytesAndConverges) {
 // ---------------------------------------------------------------------------
 // RecoveryManager ledger replay
 
-Bytes encoded_block(SeqNum s, ViewNum v, ClientId client, uint64_t timestamp) {
-  Block block;
+Block one_request_block(SeqNum s, ClientId client, uint64_t timestamp) {
   Request req;
   req.client = client;
   req.timestamp = timestamp;
   req.op = to_bytes("op-" + std::to_string(s));
-  block.requests.push_back(std::move(req));
-  return encode_message(Message(PrePrepareMsg{s, v, std::move(block)}));
+  return Block({req});
 }
 
 TEST(RecoveryManagerTest, FreshStorageRecoversNothing) {
@@ -212,7 +210,7 @@ TEST(RecoveryManagerTest, FreshStorageRecoversNothing) {
 TEST(RecoveryManagerTest, ReplaysLedgerFromGenesis) {
   auto ledger = std::make_shared<storage::MemoryLedgerStorage>();
   for (SeqNum s = 1; s <= 4; ++s) {
-    ledger->append_block(s, as_span(encoded_block(s, 0, 100, s)));
+    ledger->append_block(s, 0, one_request_block(s, 100, s));
   }
   RecoveryManager manager(ledger, nullptr);
   auto recovered =
@@ -238,7 +236,7 @@ TEST(RecoveryManagerTest, ReplaysLedgerFromGenesis) {
 TEST(RecoveryManagerTest, SnapshotPlusSuffixMatchesFullReplay) {
   auto ledger = std::make_shared<storage::MemoryLedgerStorage>();
   for (SeqNum s = 1; s <= 6; ++s) {
-    ledger->append_block(s, as_span(encoded_block(s, 0, 7, s)));
+    ledger->append_block(s, 0, one_request_block(s, 7, s));
   }
   auto factory = [] { return std::make_unique<harness::FastKvService>(); };
 
@@ -258,7 +256,7 @@ TEST(RecoveryManagerTest, SnapshotPlusSuffixMatchesFullReplay) {
   auto service3 = factory();
   runtime::ReplyCache cache3;
   for (SeqNum s = 1; s <= 3; ++s) {
-    const Request& req = half->replayed[s - 1].block.requests[0];
+    const Request& req = half->replayed[s - 1].block.requests()[0];
     cache3.store(req.client, req.timestamp, s, 0,
                  service3->execute(as_span(req.op)));
   }

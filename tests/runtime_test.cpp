@@ -1038,29 +1038,34 @@ struct EvmLedgerFixture {
         CallTx{alice, token, evm::token_call_balance_of(word_of(alice))});
   }
 
-  static Bytes block_of(SeqNum s, std::vector<std::pair<uint64_t, Bytes>> reqs) {
-    Block block;
+  static Block block_of(std::vector<std::pair<uint64_t, Bytes>> reqs) {
+    std::vector<Request> requests;
     for (auto& [ts, op] : reqs) {
       Request req;
       req.client = 7;
       req.timestamp = ts;
       req.op = std::move(op);
-      block.requests.push_back(std::move(req));
+      requests.push_back(std::move(req));
     }
-    return encode_message(Message(PrePrepareMsg{s, 0, std::move(block)}));
+    return Block(std::move(requests));
   }
 
   /// Ledger where block 3 carries a *duplicate* (same client, timestamp 3) of
   /// the transfer executed in block 1 — i.e. a retry that slipped into a
   /// later decision block, whose duplicate lands beyond the checkpoint at 2.
   std::shared_ptr<storage::MemoryLedgerStorage> full_ledger() const {
+    return ledger_prefix(4);
+  }
+  /// The first `last` decisions of full_ledger().
+  std::shared_ptr<storage::MemoryLedgerStorage> ledger_prefix(SeqNum last) const {
+    const Block blocks[] = {
+        block_of({{1, op_create()}, {2, op_mint(100)}, {3, op_transfer(10)}}),
+        block_of({{4, op_balance()}}),
+        block_of({{3, op_transfer(10)}}),  // dup
+        block_of({{5, op_balance()}}),
+    };
     auto ledger = std::make_shared<storage::MemoryLedgerStorage>();
-    ledger->append_block(1, as_span(block_of(1, {{1, op_create()},
-                                                 {2, op_mint(100)},
-                                                 {3, op_transfer(10)}})));
-    ledger->append_block(2, as_span(block_of(2, {{4, op_balance()}})));
-    ledger->append_block(3, as_span(block_of(3, {{3, op_transfer(10)}})));  // dup
-    ledger->append_block(4, as_span(block_of(4, {{5, op_balance()}})));
+    for (SeqNum s = 1; s <= last; ++s) ledger->append_block(s, 0, blocks[s - 1]);
     return ledger;
   }
 
@@ -1081,9 +1086,7 @@ TEST(ReplyCachePersistence, EvmTransferNotReExecutedAfterRecovery) {
 
   // Checkpoint at 2: replay the prefix once to derive the certificate, the
   // service snapshot, and — the point of this test — the reply cache.
-  auto prefix = std::make_shared<storage::MemoryLedgerStorage>();
-  prefix->append_block(1, *ledger->read_block(1));
-  prefix->append_block(2, *ledger->read_block(2));
+  auto prefix = fx.ledger_prefix(2);
   RecoveryManager prefix_manager(prefix, nullptr);
   auto at2 = prefix_manager.recover(fx.factory());
   ASSERT_TRUE(at2.has_value());
@@ -1118,9 +1121,7 @@ TEST(ReplyCachePersistence, BareCheckpointSnapshotIsNotRecovered) {
   EvmLedgerFixture fx;
   auto ledger = fx.full_ledger();
 
-  auto prefix = std::make_shared<storage::MemoryLedgerStorage>();
-  prefix->append_block(1, *ledger->read_block(1));
-  prefix->append_block(2, *ledger->read_block(2));
+  auto prefix = fx.ledger_prefix(2);
   RecoveryManager prefix_manager(prefix, nullptr);
   auto at2 = prefix_manager.recover(fx.factory());
   ASSERT_TRUE(at2.has_value());

@@ -21,13 +21,11 @@ class ViewChangeFixture : public ::testing::Test {
   }
 
   Block make_block(const std::string& tag) {
-    Block b;
     Request r;
     r.client = 100;
     r.timestamp = 1;
     r.op = to_bytes(tag);
-    b.requests.push_back(std::move(r));
-    return b;
+    return Block({r});
   }
 
   /// tau(h) certificate over slot j at view v for `block`.
