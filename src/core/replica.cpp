@@ -10,13 +10,7 @@ namespace sbft::core {
 // ---------------------------------------------------------------------------
 // Per-slot state
 
-struct SbftReplica::Slot {
-  // Accepted pre-prepare (highest view).
-  bool has_pp = false;
-  ViewNum pp_view = 0;
-  Digest block_digest{};
-  std::optional<Block> block;
-  Digest h{};
+struct SbftReplica::Slot : runtime::SlotVote {
   Bytes own_sigma_share;  // kept for the view-change fm vote
 
   // The slow-path prepare certificate and the fast/slow full proofs live in
@@ -77,18 +71,16 @@ struct SbftReplica::Slot {
 SbftReplica::SbftReplica(ReplicaOptions options, std::unique_ptr<IService> service)
     : ReplicaShell(static_cast<const runtime::ShellOptions&>(options),
                    options.roster_c, options.behavior == ReplicaBehavior::kSilent,
-                   std::move(service)),
+                   /*demand_divisor=*/2, std::move(service)),
       crypto_(std::move(options.crypto)),
       behavior_(options.behavior),
       collector_stagger_us_(options.collector_stagger_us),
       epoch_keys_(std::move(options.epoch_keys)),
-      h_pending_wait_(&metrics_->histogram("stage.pending_wait_us")),
       h_exec_to_ack_(&metrics_->histogram("stage.exec_to_ack_us")),
       c_fast_commits_(runtime_.counters().counter("fast_commits")),
       c_slow_commits_(runtime_.counters().counter("slow_commits")),
       c_invalid_shares_seen_(runtime_.counters().counter("invalid_shares_seen")),
       c_timed_slots_(runtime_.counters().counter("timed_slots")),
-      c_proposed_requests_(runtime_.counters().counter("proposed_requests")),
       c_acked_blocks_(runtime_.counters().counter("acked_blocks")),
       c_buffered_pi_shares_(runtime_.counters().counter("buffered_pi_shares")) {
   opts_.config.validate();
@@ -245,24 +237,6 @@ void SbftReplica::on_protocol_timer(uint64_t id, sim::ActorContext& ctx) {
       ecollector_try_proof(s, ctx, /*from_stagger=*/true);
       break;
     }
-    case kProgressTimer: {
-      progress_timer_armed_ = false;
-      bool outstanding = !pending_.empty() || forwarded_waiting_ ||
-                         (!slots_.empty() && slots_.rbegin()->first > le()) ||
-                         in_view_change_;
-      if (le() > progress_marker_) {
-        // Progress was made; assume forwarded requests were served (if not,
-        // the client's retry re-raises the flag).
-        progress_marker_ = le();
-        forwarded_waiting_ = false;
-        if (outstanding) arm_progress_timer(ctx);
-        break;
-      }
-      if (outstanding) {
-        start_view_change(std::max(view_, vc_target_) + 1, ctx);
-      }
-      break;
-    }
     case kShareFallback: {
       Slot* sl = find_slot(s);
       if (!sl || sl->committed || !sl->has_pp || sl->pp_view != view_ ||
@@ -314,87 +288,20 @@ bool SbftReplica::censors(const Request& req) const {
          req.client % 2 == 1;
 }
 
-uint64_t SbftReplica::active_window() const {
-  uint64_t by_collectors = (epoch().n() - 1) / epoch().num_collectors();  // §VIII
-  return std::max<uint64_t>(1, std::min(by_collectors, opts_.config.win / 4));
+uint64_t SbftReplica::proposal_window() const {
+  return std::min<uint64_t>((epoch().n() - 1) / epoch().num_collectors(),
+                            opts_.config.win / 4);
 }
 
-uint32_t SbftReplica::adaptive_batch_size() const {
-  if (!opts_.config.adaptive_batching) return opts_.config.max_batch;
-  // §VIII: an adaptive controller keyed off outstanding demand. We track an
-  // EWMA of the requests the primary currently owes (queued + proposed but
-  // not yet executed — the closed-loop client population) and size blocks to
-  // absorb it across a couple of concurrent blocks: small batches (low
-  // latency) when idle, full batches (amortized fixed costs) under load.
-  uint64_t size = static_cast<uint64_t>(avg_pending_ / 2.0) + 1;
-  return static_cast<uint32_t>(
-      std::clamp<uint64_t>(size, 1, opts_.config.max_batch));
+uint64_t SbftReplica::in_flight_requests() const {
+  return requests_in_flight(slots_);
 }
 
-void SbftReplica::try_propose(sim::ActorContext& ctx, bool flush_partial) {
-  if (!is_primary() || in_view_change_ || retired_) return;
-  // Demand sample: queued requests plus requests in unexecuted blocks. The
-  // in-flight scan is bounded by the window and recomputed from the slots so
-  // it self-corrects across view changes and state transfer.
-  uint64_t in_flight_reqs = 0;
-  for (auto it = slots_.upper_bound(le());
-       it != slots_.end() && it->first < next_seq_; ++it) {
-    if (it->second.block) in_flight_reqs += it->second.block->requests().size();
-  }
-  avg_pending_ = 0.8 * avg_pending_ +
-                 0.2 * static_cast<double>(pending_.size() + in_flight_reqs);
-  while (!pending_.empty()) {
-    // Drop requests already executed (e.g. committed via an earlier view).
-    const Request& head = pending_.front().first;
-    if (runtime_.replies().is_duplicate(head.client, head.timestamp)) {
-      pending_keys_.erase({head.client, head.timestamp});
-      pending_.pop_front();
-      continue;
-    }
-    uint64_t in_flight = next_seq_ - 1 - le();
-    if (in_flight >= active_window()) return;
-    if (next_seq_ > ls() + opts_.config.win) return;
-    // Reconfiguration wedge: no slot beyond a pending activation boundary may
-    // be ordered under the old epoch's keys/quorums — proposals resume from
-    // the boundary once the checkpoint is stable and the epoch active.
-    if (SeqNum gate = reconfig_gate(); gate > 0 && next_seq_ > gate) return;
-
-    // The adaptive `batch` value is the *minimum* operations per block
-    // (§VIII); partial blocks only leave on the batch timer.
-    uint32_t want = adaptive_batch_size();
-    if (pending_.size() < want && !flush_partial) return;
-
-    std::vector<Request> requests;
-    while (!pending_.empty() && requests.size() < want) {
-      auto [r, arrived] = std::move(pending_.front());
-      pending_.pop_front();
-      pending_keys_.erase({r.client, r.timestamp});
-      h_pending_wait_->record(ctx.now() - arrived);
-      ++c_proposed_requests_;
-      requests.push_back(std::move(r));
-    }
-    if (requests.empty()) return;
-    propose_block(Block(std::move(requests)), ctx);
-  }
-
-  // Primary-driven no-op fill (docs/reconfiguration.md): a staged
-  // reconfiguration only activates when the checkpoint at its boundary
-  // becomes stable, and checkpoints only form when slots commit. With no
-  // client traffic the cluster would idle forever short of the boundary —
-  // so on batch-timer ticks the primary fills the gap with empty blocks.
-  if (flush_partial && pending_.empty()) {
-    SeqNum gate = reconfig_gate();
-    while (gate > 0 && next_seq_ <= gate &&
-           next_seq_ - 1 - le() < active_window() &&
-           next_seq_ <= ls() + opts_.config.win) {
-      ++c_noop_fill_blocks_;
-      propose_block(null_block(), ctx);
-    }
-  }
+SeqNum SbftReplica::highest_slot() const {
+  return slots_.empty() ? 0 : slots_.rbegin()->first;
 }
 
-void SbftReplica::propose_block(Block block, sim::ActorContext& ctx) {
-  SeqNum s = next_seq_++;
+void SbftReplica::propose(SeqNum s, Block block, sim::ActorContext& ctx) {
   ctx.charge(ctx.costs().hash_us(block.wire_size()));
 
   if (behavior_ == ReplicaBehavior::kEquivocate && block.requests().size() >= 2) {
@@ -450,47 +357,11 @@ void SbftReplica::handle_pre_prepare(NodeId from, const PrePrepareMsg& m,
 
 void SbftReplica::accept_pre_prepare(SeqNum s, ViewNum v, Block block,
                                      sim::ActorContext& ctx) {
-  if (retired_) return;
-  // Only members of the slot's epoch vote (a joiner hears the enlarged
-  // cluster's broadcasts before it has adopted the epoch that admits it —
-  // and holds no signer for any earlier scheme).
-  if (!epoch_for_seq(s).contains(opts_.id)) return;
-  Slot& sl = slot(s);
+  Slot& sl = slot(s);  // every caller created it already
   if (sl.has_pp && sl.pp_view >= v) return;
-  Digest digest = block.digest();
-  // A block carrying a reconfiguration marker raises the pre-execution shadow
-  // of the activation boundary: later slots are refused until the marker
-  // executes (when the runtime's staged boundary takes over) or the slot is
-  // superseded. Without this, pre-boundary keys could sign post-boundary
-  // slots in the window between ordering and executing the marker.
-  for (const Request& req : block.requests()) {
-    if (decode_reconfig_request(req)) {
-      uint64_t interval = opts_.config.checkpoint_interval();
-      SeqNum boundary = (s + interval - 1) / interval * interval;
-      shadow_gate_ = std::max(shadow_gate_, boundary);
-    }
-  }
-  // Anti-equivocation across restarts: a previous incarnation's persisted
-  // vote at this (or a later) view binds this one to the same digest.
-  if (auto wv = wal_votes_.find(s);
-      wv != wal_votes_.end() && wv->second.first >= v &&
-      !(wv->second.second == digest)) {
-    return;
-  }
-  runtime_.wal_record_vote(s, v, digest);
-  sl.has_pp = true;
-  sl.pp_view = v;
-  sl.block_digest = digest;
-  sl.block = std::move(block);
-  sl.h = slot_hash(s, v, sl.block_digest);
+  if (!record_vote(s, v, std::move(block), sl, ctx)) return;
   sl.awaiting_block = false;
   if (sl.pp_time < 0) sl.pp_time = ctx.now();
-  // Slot span: accepted pre-prepare -> executed. The span id folds the view
-  // in so a slot re-accepted after a view change opens a fresh span (the
-  // superseded one stays dangling, which Perfetto renders as unfinished).
-  trace_.begin(ctx.now(), obs::Category::kSlot, obs::ev::kSlot,
-               (v << 32) | s, s, v);
-  ctx.charge(ctx.costs().hash_us(64));
 
   // Sign both shares (sigma for the fast path, tau for Linear-PBFT, §V-E),
   // under the keys of the epoch that governs this slot.
@@ -923,18 +794,7 @@ void SbftReplica::execute_block(SeqNum s, sim::ActorContext& ctx) {
   // Without the execution collector (Linear-PBFT variants), every replica
   // replies to every client directly — the f+1-messages-per-client cost that
   // ingredient 3 removes.
-  if (!opts_.config.execution_collector && !silent()) {
-    for (size_t l = 0; l < rec.block.requests().size(); ++l) {
-      const Request& req = rec.block.requests()[l];
-      ClientReplyMsg reply;
-      reply.replica = opts_.id;
-      reply.client = req.client;
-      reply.timestamp = req.timestamp;
-      reply.seq = s;
-      reply.value = rec.values[l];
-      ctx.send(req.client, make_message(std::move(reply)));
-    }
-  }
+  if (!opts_.config.execution_collector) reply_to_clients(s, rec, ctx);
 
   auto buffered = std::move(slot(s).buffered_pi);
 
@@ -1159,34 +1019,14 @@ void SbftReplica::adopt_verified_view(ViewNum v, sim::ActorContext& ctx) {
   vc_msgs_.erase(vc_msgs_.begin(), vc_msgs_.upper_bound(v));
   progress_marker_ = le();
   runtime_.wal_record_view(v);
-  if (is_primary()) {
-    ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
-  }
+  arm_batch_timer(ctx);
 }
 
 void SbftReplica::start_view_change(ViewNum target, sim::ActorContext& ctx) {
-  if (target <= view_ || retired_) return;
-  if (in_view_change_ && target <= vc_target_) return;
-  in_view_change_ = true;
-  vc_target_ = target;
-  ++vc_attempts_;
-  ++c_view_changes_;
-  // One session span per target view; escalating to a higher target closes
-  // the superseded session and opens the next.
-  if (vc_span_ != 0 && vc_span_ != target) {
-    trace_.end(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
-               vc_span_, 0, vc_span_, "superseded", 1);
-  }
-  if (vc_span_ != target) {
-    vc_span_ = target;
-    trace_.begin(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
-                 target, 0, target);
-  }
-
+  if (!begin_view_change(target, ctx)) return;
   ViewChangeMsg msg = build_view_change(target);
   vc_msgs_[target][opts_.id] = msg;
   broadcast_replicas(ctx, make_message(ViewChangeMsg(msg)));
-  arm_progress_timer(ctx);  // exponential backoff to target+1 if this stalls
   if (epoch().primary_of(target) == opts_.id) maybe_send_new_view(target, ctx);
 }
 
@@ -1297,23 +1137,8 @@ void SbftReplica::handle_new_view(const NewViewMsg& m, sim::ActorContext& ctx) {
 void SbftReplica::enter_new_view(const NewViewMsg& m, sim::ActorContext& ctx) {
   if (m.view < view_ || (m.view == view_ && !in_view_change_) || retired_) return;
   ViewChangeVerifiers verifiers = view_change_verifiers();
-
-  view_ = m.view;
-  in_view_change_ = false;
-  if (vc_span_ != 0) {
-    trace_.end(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
-               vc_span_, 0, vc_span_, "entered_view", m.view);
-    vc_span_ = 0;
-  } else {
-    // Entered on the strength of a NewView alone (never locally timed out).
-    trace_.instant(ctx.now(), obs::Category::kViewChange, obs::ev::kViewEntered,
-                   0, 0, m.view);
-  }
-  vc_target_ = m.view;
-  vc_attempts_ = 0;
-  new_view_sent_ = false;
+  enter_view(m.view, /*span_view=*/vc_span_, ctx);
   vc_msgs_.erase(vc_msgs_.begin(), vc_msgs_.upper_bound(m.view));
-  runtime_.wal_record_view(m.view);
 
   SeqNum stable = select_stable_seq(cfg_, verifiers, m.proofs);
   if (stable > le()) request_state_transfer(ctx);
@@ -1371,19 +1196,13 @@ void SbftReplica::enter_new_view(const NewViewMsg& m, sim::ActorContext& ctx) {
         break;
       }
       case SafeValue::Kind::kNoop: {
-        accept_pre_prepare(j, m.view, null_block(), ctx);
+        accept_pre_prepare(j, m.view, Block{}, ctx);
         break;
       }
     }
   }
 
-  next_seq_ = std::max<SeqNum>(max_evidence + 1, stable + 1);
-  progress_marker_ = le();
-  if (is_primary()) {
-    ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
-    try_propose(ctx);
-  }
-  arm_progress_timer(ctx);
+  resume_view(std::max<SeqNum>(max_evidence + 1, stable + 1), ctx);
 }
 
 // ---------------------------------------------------------------------------

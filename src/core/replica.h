@@ -83,6 +83,14 @@ class SbftReplica final : public runtime::ReplicaShell {
   void on_checkpoint_adopted(SeqNum seq) override;
   /// kCensor: as primary, requests from odd-id clients vanish at admission.
   bool censors(const Request& req) const override;
+  /// §VIII: at most (n-1)/collectors slots in flight, so each collector
+  /// serves one slot at a time.
+  uint64_t proposal_window() const override;
+  uint64_t in_flight_requests() const override;
+  /// Charges the block hash; kEquivocate sends conflicting blocks.
+  void propose(SeqNum s, Block block, sim::ActorContext& ctx) override;
+  SeqNum highest_slot() const override;
+  void start_view_change(ViewNum target, sim::ActorContext& ctx) override;
 
   // --- message handlers -----------------------------------------------------
   void handle_pre_prepare(NodeId from, const PrePrepareMsg& m, sim::ActorContext& ctx);
@@ -118,12 +126,6 @@ class SbftReplica final : public runtime::ReplicaShell {
   /// Active epoch's verifier bundle for the pure view-change functions.
   ViewChangeVerifiers view_change_verifiers() const;
 
-  // --- primary --------------------------------------------------------------
-  uint64_t active_window() const;
-  uint32_t adaptive_batch_size() const;
-  void try_propose(sim::ActorContext& ctx, bool flush_partial = false) override;
-  void propose_block(Block block, sim::ActorContext& ctx);
-
   // --- commit paths ----------------------------------------------------------
   void accept_pre_prepare(SeqNum s, ViewNum v, Block block, sim::ActorContext& ctx);
   void collector_try_fast(SeqNum s, sim::ActorContext& ctx, bool from_stagger);
@@ -145,7 +147,6 @@ class SbftReplica final : public runtime::ReplicaShell {
   void adopt_verified_view(ViewNum v, sim::ActorContext& ctx);
 
   // --- view change (§V-G) -----------------------------------------------------
-  void start_view_change(ViewNum target, sim::ActorContext& ctx);
   ViewChangeMsg build_view_change(ViewNum target) const;
   void maybe_send_new_view(ViewNum target, sim::ActorContext& ctx);
   void enter_new_view(const NewViewMsg& m, sim::ActorContext& ctx);
@@ -161,11 +162,8 @@ class SbftReplica final : public runtime::ReplicaShell {
   const int64_t collector_stagger_us_;
   const std::shared_ptr<const EpochKeyTable> epoch_keys_;
 
-  // SBFT-only stage histograms (the shell binds the ones both engines fill).
-  obs::Histogram* h_pending_wait_;
+  // SBFT-only stage histogram (the shell binds the ones both engines fill).
   obs::Histogram* h_exec_to_ack_;
-  // Open view-change session span (0 = none).
-  ViewNum vc_span_ = 0;
 
   // Memoized per-epoch ReplicaCrypto resolved from the EpochKeyTable.
   mutable std::map<uint64_t, ReplicaCrypto> epoch_crypto_;
@@ -174,16 +172,14 @@ class SbftReplica final : public runtime::ReplicaShell {
 
   // View-change messages collected per target view.
   std::map<ViewNum, std::map<ReplicaId, ViewChangeMsg>> vc_msgs_;
-  bool new_view_sent_ = false;
 
   // SBFT protocol counters (handles into the runtime's registry). Phase
   // timing lives in the "stage.*" histograms instead.
   uint64_t& c_fast_commits_;
   uint64_t& c_slow_commits_;
   uint64_t& c_invalid_shares_seen_;
-  uint64_t& c_timed_slots_;        // slots with a pp->commit measurement
-  uint64_t& c_proposed_requests_;  // primary: requests batched into blocks
-  uint64_t& c_acked_blocks_;       // E-collector: blocks acked to clients
+  uint64_t& c_timed_slots_;   // slots with a pp->commit measurement
+  uint64_t& c_acked_blocks_;  // E-collector: blocks acked to clients
   uint64_t& c_buffered_pi_shares_;
 };
 

@@ -116,8 +116,6 @@ SeqNum select_stable_seq(const ProtocolConfig& /*config*/,
   return best;
 }
 
-Block null_block() { return Block{}; }
-
 SafeValue compute_safe_value(const ProtocolConfig& config,
                              const ViewChangeVerifiers& verifiers, SeqNum j,
                              const std::vector<ViewChangeMsg>& proofs) {
@@ -232,7 +230,7 @@ SafeValue compute_safe_value(const ProtocolConfig& config,
     return out;
   }
   out.kind = SafeValue::Kind::kNoop;
-  out.block = null_block();
+  out.block = Block{};
   out.block_digest = out.block->digest();
   return out;
 }

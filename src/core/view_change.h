@@ -61,7 +61,4 @@ SafeValue compute_safe_value(const ProtocolConfig& config,
                              const ViewChangeVerifiers& verifiers, SeqNum j,
                              const std::vector<ViewChangeMsg>& proofs);
 
-/// An empty decision block (the "null" no-op proposal).
-Block null_block();
-
 }  // namespace sbft::core

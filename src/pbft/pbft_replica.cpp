@@ -31,8 +31,11 @@ bool CheckpointAuth::verify(ReplicaId replica, SeqNum seq,
 }
 
 PbftReplica::PbftReplica(PbftOptions options, std::unique_ptr<IService> service)
+    // Blocks absorb the whole demand estimate: PBFT pays O(n^2) messages
+    // per block, so fuller-but-fewer blocks beat pipelining two half-size ones.
     : ReplicaShell(static_cast<const runtime::ShellOptions&>(options),
-                   /*roster_c=*/0, /*silent=*/false, std::move(service)),
+                   /*roster_c=*/0, /*silent=*/false, /*demand_divisor=*/1,
+                   std::move(service)),
       fabricate_checkpoint_(options.fabricate_checkpoint),
       checkpoint_auth_(std::move(options.checkpoint_auth)),
       c_checkpoint_certs_rejected_(
@@ -61,10 +64,9 @@ void PbftReplica::on_protocol_message(NodeId from, const Message& msg,
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, PrePrepareMsg>) {
           handle_pre_prepare(from, m, ctx);
-        } else if constexpr (std::is_same_v<T, PbftPrepareMsg>) {
-          handle_prepare(m, ctx);
-        } else if constexpr (std::is_same_v<T, PbftCommitMsg>) {
-          handle_commit(m, ctx);
+        } else if constexpr (std::is_same_v<T, PbftPrepareMsg> ||
+                             std::is_same_v<T, PbftCommitMsg>) {
+          handle_vote(m, ctx);
         } else if constexpr (std::is_same_v<T, PbftCheckpointMsg>) {
           handle_checkpoint(m, ctx);
         } else if constexpr (std::is_same_v<T, PbftViewChangeMsg>) {
@@ -76,97 +78,12 @@ void PbftReplica::on_protocol_message(NodeId from, const Message& msg,
       msg);
 }
 
-void PbftReplica::on_protocol_timer(uint64_t id, sim::ActorContext& ctx) {
-  if (timer_kind(id) != kProgressTimer) return;  // the only PBFT-owned timer
-  progress_timer_armed_ = false;
-  bool outstanding = !pending_.empty() || forwarded_waiting_ ||
-                     (!slots_.empty() && slots_.rbegin()->first > le()) ||
-                     in_view_change_;
-  if (le() > progress_marker_) {
-    progress_marker_ = le();
-    forwarded_waiting_ = false;
-    if (outstanding) arm_progress_timer(ctx);
-    return;
-  }
-  // If f+1 checkpoint votes prove the cluster executed past us, the stall is
-  // not the primary's fault — we missed (or are dropping, if a view change is
-  // pending) the traffic for slots a quorum already garbage-collected. Fetch
-  // the checkpoint; escalating the view change alone cannot recover the gap
-  // (schedule fuzzer, seed 91).
-  if (outstanding && checkpoint_evidence_frontier() > le()) {
-    request_state_transfer(ctx);
-  }
-  if (outstanding) start_view_change(std::max(view_, vc_target_) + 1, ctx);
-}
-
 // ---------------------------------------------------------------------------
 // Normal case
 
-uint32_t PbftReplica::adaptive_batch_size() const {
-  if (!opts_.config.adaptive_batching) return opts_.config.max_batch;
-  // Same controller as SBFT (§VIII): EWMA of outstanding demand (queued +
-  // proposed-but-unexecuted requests). Unlike SBFT, blocks absorb the whole
-  // estimate: PBFT pays O(n^2) messages per block, so fuller-but-fewer
-  // blocks beat pipelining two half-size ones.
-  uint64_t size = static_cast<uint64_t>(avg_pending_) + 1;
-  return static_cast<uint32_t>(
-      std::clamp<uint64_t>(size, 1, opts_.config.max_batch));
-}
-
-void PbftReplica::try_propose(sim::ActorContext& ctx, bool flush_partial) {
-  if (!is_primary() || in_view_change_ || retired_) return;
-  uint64_t in_flight_reqs = 0;
-  for (auto it = slots_.upper_bound(le());
-       it != slots_.end() && it->first < next_seq_; ++it) {
-    if (it->second.block) in_flight_reqs += it->second.block->requests().size();
-  }
-  avg_pending_ = 0.8 * avg_pending_ +
-                 0.2 * static_cast<double>(pending_.size() + in_flight_reqs);
-  const uint64_t window = std::max<uint64_t>(1, opts_.config.win / 4);
-  while (!pending_.empty()) {
-    const Request& head = pending_.front().first;
-    if (runtime_.replies().is_duplicate(head.client, head.timestamp)) {
-      pending_keys_.erase({head.client, head.timestamp});
-      pending_.pop_front();
-      continue;
-    }
-    if (next_seq_ - 1 - le() >= window) return;
-    if (next_seq_ > ls() + opts_.config.win) return;
-    // Reconfiguration wedge: slots beyond a pending activation boundary wait
-    // for the new epoch (docs/reconfiguration.md).
-    if (SeqNum gate = reconfig_gate(); gate > 0 && next_seq_ > gate) return;
-    // Batching: the adaptive `batch` value is the *minimum* operations per
-    // block (§VIII); partial blocks only leave on the batch timer.
-    const uint32_t want = adaptive_batch_size();
-    if (pending_.size() < want && !flush_partial) return;
-    std::vector<Request> requests;
-    while (!pending_.empty() && requests.size() < want) {
-      Request r = std::move(pending_.front().first);
-      pending_.pop_front();
-      pending_keys_.erase({r.client, r.timestamp});
-      requests.push_back(std::move(r));
-    }
-    Block block(std::move(requests));
-    SeqNum s = next_seq_++;
-    ctx.charge(ctx.costs().hash_us(block.wire_size()) + ctx.costs().rsa_sign_us);
-    broadcast_replicas(ctx, make_message(PrePrepareMsg{s, view_, std::move(block)}));
-  }
-
-  // Primary-driven no-op fill (docs/reconfiguration.md): a staged
-  // reconfiguration activates only when the checkpoint at its boundary
-  // becomes stable, which needs the boundary slot to commit. With no client
-  // traffic the batch timer fills the remaining slots with empty blocks.
-  if (flush_partial && pending_.empty()) {
-    SeqNum gate = reconfig_gate();
-    while (gate > 0 && next_seq_ <= gate && next_seq_ - 1 - le() < window &&
-           next_seq_ <= ls() + opts_.config.win) {
-      Block block;
-      SeqNum s = next_seq_++;
-      ++c_noop_fill_blocks_;
-      ctx.charge(ctx.costs().hash_us(block.wire_size()) + ctx.costs().rsa_sign_us);
-      broadcast_replicas(ctx, make_message(PrePrepareMsg{s, view_, std::move(block)}));
-    }
-  }
+void PbftReplica::propose(SeqNum s, Block block, sim::ActorContext& ctx) {
+  ctx.charge(ctx.costs().hash_us(block.wire_size()) + ctx.costs().rsa_sign_us);
+  broadcast_replicas(ctx, make_message(PrePrepareMsg{s, view_, std::move(block)}));
 }
 
 void PbftReplica::handle_pre_prepare(NodeId from, const PrePrepareMsg& m,
@@ -196,41 +113,9 @@ void PbftReplica::handle_pre_prepare(NodeId from, const PrePrepareMsg& m,
 
 void PbftReplica::accept_pre_prepare(SeqNum s, ViewNum v, Block block,
                                      sim::ActorContext& ctx) {
-  if (retired_) return;
-  // Only members of the slot's epoch vote (a joiner hears the enlarged
-  // cluster's broadcasts before it has adopted the epoch that admits it).
-  if (!epoch_for_seq(s).contains(opts_.id)) return;
-  Slot& sl = slots_[s];
-  Digest digest = block.digest();
-  // Shadow of the activation boundary (see the SBFT engine): slots beyond a
-  // marker-bearing block wait until the marker executes and stages.
-  for (const Request& req : block.requests()) {
-    if (decode_reconfig_request(req)) {
-      uint64_t interval = opts_.config.checkpoint_interval();
-      SeqNum boundary = (s + interval - 1) / interval * interval;
-      shadow_gate_ = std::max(shadow_gate_, boundary);
-    }
-  }
-  // Anti-equivocation across restarts: a previous incarnation's persisted
-  // vote at this (or a later) view binds this one to the same digest.
-  if (auto wv = wal_votes_.find(s);
-      wv != wal_votes_.end() && wv->second.first >= v &&
-      !(wv->second.second == digest)) {
-    return;
-  }
-  // Write-ahead contract: the vote is durable before the prepare leaves.
-  runtime_.wal_record_vote(s, v, digest);
-  sl.has_pp = true;
-  sl.pp_view = v;
-  sl.block_digest = digest;
-  sl.h = slot_hash(s, v, sl.block_digest);
-  sl.block = std::move(block);
+  Slot& sl = slots_[s];  // every caller created it already
+  if (!record_vote(s, v, std::move(block), sl, ctx)) return;
   sl.pp_time = ctx.now();
-  // Slot span id folds the view in: re-accepting the slot at a higher view
-  // (after a view change) opens a fresh span rather than reusing the old id.
-  trace_.begin(ctx.now(), obs::Category::kSlot, obs::ev::kSlot, (v << 32) | s,
-               s, v);
-  ctx.charge(ctx.costs().hash_us(64));
 
   if (!sl.sent_prepare) {
     sl.sent_prepare = true;
@@ -242,7 +127,8 @@ void PbftReplica::accept_pre_prepare(SeqNum s, ViewNum v, Block block,
   check_prepared(s, ctx);
 }
 
-void PbftReplica::handle_prepare(const PbftPrepareMsg& m, sim::ActorContext& ctx) {
+template <typename Vote>
+void PbftReplica::handle_vote(const Vote& m, sim::ActorContext& ctx) {
   if (in_view_change_ || m.view != view_ || retired_) return;
   if (m.seq <= ls() || m.seq > ls() + opts_.config.win) return;
   if (!epoch_for_seq(m.seq).contains(m.replica)) return;
@@ -253,8 +139,13 @@ void PbftReplica::handle_prepare(const PbftPrepareMsg& m, sim::ActorContext& ctx
     if (m.seq <= ls() || m.seq > ls() + opts_.config.win) return;
     Slot& sl = slots_[m.seq];
     if (sl.has_pp && !(m.h == sl.h)) return;
-    sl.prepares.insert(m.replica);
-    check_prepared(m.seq, c);
+    if constexpr (std::is_same_v<Vote, PbftCommitMsg>) {
+      sl.commits.insert(m.replica);
+      check_committed(m.seq, c);
+    } else {
+      sl.prepares.insert(m.replica);
+      check_prepared(m.seq, c);
+    }
   });
 }
 
@@ -277,20 +168,6 @@ void PbftReplica::check_prepared(SeqNum s, sim::ActorContext& ctx) {
     broadcast_replicas(ctx, make_message(PbftCommitMsg{s, sl.pp_view, sl.h, opts_.id}));
   }
   check_committed(s, ctx);
-}
-
-void PbftReplica::handle_commit(const PbftCommitMsg& m, sim::ActorContext& ctx) {
-  if (in_view_change_ || m.view != view_ || retired_) return;
-  if (m.seq <= ls() || m.seq > ls() + opts_.config.win) return;
-  if (!epoch_for_seq(m.seq).contains(m.replica)) return;
-  ctx.offload(ctx.costs().rsa_verify_us, [this, m](sim::ActorContext& c) {
-    if (in_view_change_ || m.view != view_ || retired_) return;
-    if (m.seq <= ls() || m.seq > ls() + opts_.config.win) return;
-    Slot& sl = slots_[m.seq];
-    if (sl.has_pp && !(m.h == sl.h)) return;
-    sl.commits.insert(m.replica);
-    check_committed(m.seq, c);
-  });
 }
 
 void PbftReplica::check_committed(SeqNum s, sim::ActorContext& ctx) {
@@ -321,17 +198,10 @@ void PbftReplica::try_execute(sim::ActorContext& ctx) {
     if (sl.commit_time > 0) h_commit_to_exec_->record(ctx.now() - sl.commit_time);
     trace_.end(ctx.now(), obs::Category::kSlot, obs::ev::kSlot,
                (sl.pp_view << 32) | s, s, sl.pp_view);
-    for (size_t l = 0; l < rec.block.requests().size(); ++l) {
-      const Request& req = rec.block.requests()[l];
-      ClientReplyMsg reply;
-      reply.replica = opts_.id;
-      reply.client = req.client;
-      reply.timestamp = req.timestamp;
-      reply.seq = s;
-      reply.value = rec.values[l];
-      ctx.charge(ctx.costs().rsa_sign_us / 4);  // replies signed, amortized batch
-      ctx.send(req.client, make_message(std::move(reply)));
-    }
+    reply_to_clients(s, rec, ctx);
+    // Replies are signed, amortized over the batch.
+    ctx.charge(ctx.costs().rsa_sign_us / 4 *
+               static_cast<int64_t>(rec.block.requests().size()));
 
     // Quadratic PBFT checkpoint protocol (§V-F contrasts against this). The
     // vote carries this replica's checkpoint signature — f+1 of them form
@@ -367,7 +237,7 @@ void PbftReplica::try_execute(sim::ActorContext& ctx) {
 /// primary, stranded by a partition and then by a solo view change, kept
 /// its own dead view-0 pre-prepare as its *only* slot past le(), which
 /// defeated every checkpoint-evidence state-transfer trigger forever.
-bool PbftReplica::execution_gap() const {
+bool PbftReplica::slots_behind() const {
   if (slots_.empty()) return false;
   auto next = slots_.find(le() + 1);
   if (next != slots_.end() && next->second.has_pp) {
@@ -429,7 +299,7 @@ void PbftReplica::handle_checkpoint_verified(const PbftCheckpointMsg& m,
     // either, and checkpoint evidence arriving now means a quorum is
     // executing in a view we left (a solo view change nobody joins wedges
     // forever otherwise).
-    if (execution_gap() || slots_.empty() || in_view_change_ ||
+    if (slots_behind() || slots_.empty() || in_view_change_ ||
         m.seq > le() + opts_.config.win) {
       request_state_transfer(ctx);
     }
@@ -637,25 +507,7 @@ bool PbftReplica::serve_fabricated(NodeId from, const Message& msg,
 // View change
 
 void PbftReplica::start_view_change(ViewNum target, sim::ActorContext& ctx) {
-  if (target <= view_ || retired_) return;
-  if (in_view_change_ && target <= vc_target_) return;
-  in_view_change_ = true;
-  vc_target_ = target;
-  ++vc_attempts_;
-  ++c_view_changes_;
-  // One span per view-change session; escalating the target supersedes the
-  // open span (see the SBFT engine).
-  if (vc_span_ != 0 && vc_span_ != target) {
-    trace_.end(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
-               vc_span_, 0, vc_span_, "superseded", 1);
-    vc_span_ = 0;
-  }
-  if (vc_span_ == 0) {
-    vc_span_ = target;
-    trace_.begin(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
-                 target, 0, target);
-  }
-
+  if (!begin_view_change(target, ctx)) return;
   PbftViewChangeMsg msg;
   msg.sender = opts_.id;
   msg.next_view = target;
@@ -674,7 +526,6 @@ void PbftReplica::start_view_change(ViewNum target, sim::ActorContext& ctx) {
   vc_msgs_[target][opts_.id] = msg;
   ctx.charge(ctx.costs().rsa_sign_us);
   broadcast_replicas(ctx, make_message(PbftViewChangeMsg(msg)));
-  arm_progress_timer(ctx);
 }
 
 void PbftReplica::handle_view_change(const PbftViewChangeMsg& m,
@@ -715,22 +566,8 @@ void PbftReplica::handle_new_view(NodeId from, const PbftNewViewMsg& m,
 }
 
 void PbftReplica::enter_new_view(const PbftNewViewMsg& m, sim::ActorContext& ctx) {
-  view_ = m.view;
-  in_view_change_ = false;
-  vc_target_ = m.view;
-  vc_attempts_ = 0;
-  new_view_sent_ = false;
-  if (vc_span_ != 0) {
-    trace_.end(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
-               vc_span_, 0, m.view, "entered_view", m.view);
-    vc_span_ = 0;
-  } else {
-    // Entered without a local view-change session (caught up via new-view).
-    trace_.instant(ctx.now(), obs::Category::kViewChange, obs::ev::kViewEntered,
-                   0, 0, m.view);
-  }
+  enter_view(m.view, /*span_view=*/m.view, ctx);
   vc_msgs_.erase(vc_msgs_.begin(), vc_msgs_.upper_bound(m.view));
-  runtime_.wal_record_view(m.view);
 
   // Re-propose the highest-view prepared certificate per slot; no-op gaps.
   SeqNum max_ls = ls();
@@ -752,13 +589,7 @@ void PbftReplica::enter_new_view(const PbftNewViewMsg& m, sim::ActorContext& ctx
     slots_[s] = Slot{};  // reset votes from the old view
     accept_pre_prepare(s, m.view, std::move(block), ctx);
   }
-  next_seq_ = std::max(next_seq_, max_seq + 1);
-  progress_marker_ = le();
-  if (is_primary()) {
-    ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
-    try_propose(ctx);
-  }
-  arm_progress_timer(ctx);
+  resume_view(std::max(next_seq_, max_seq + 1), ctx);
 }
 
 }  // namespace sbft::pbft

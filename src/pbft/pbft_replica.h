@@ -70,14 +70,8 @@ class PbftReplica final : public runtime::ReplicaShell {
   /// requests before the shell serves them honestly.
   void on_message(NodeId from, const Message& msg, sim::ActorContext& ctx) override;
 
-
  private:
-  struct Slot {
-    bool has_pp = false;
-    ViewNum pp_view = 0;
-    Digest h{};
-    Digest block_digest{};
-    std::optional<Block> block;
+  struct Slot : runtime::SlotVote {
     std::set<ReplicaId> prepares;  // matching h
     std::set<ReplicaId> commits;
     bool sent_prepare = false;
@@ -91,9 +85,18 @@ class PbftReplica final : public runtime::ReplicaShell {
   // --- shell hooks ------------------------------------------------------------
   void on_protocol_message(NodeId from, const Message& msg,
                            sim::ActorContext& ctx) override;
-  void on_protocol_timer(uint64_t id, sim::ActorContext& ctx) override;
+  uint64_t in_flight_requests() const override { return requests_in_flight(slots_); }
+  /// Charges the block hash and the primary's signature.
+  void propose(SeqNum s, Block block, sim::ActorContext& ctx) override;
+  SeqNum highest_slot() const override {
+    return slots_.empty() ? 0 : slots_.rbegin()->first;
+  }
+  /// f+1 distinct checkpoint votes on one digest prove an honest replica
+  /// executed that far.
+  SeqNum checkpoint_evidence_frontier() const override;
+  void start_view_change(ViewNum target, sim::ActorContext& ctx) override;
   std::optional<Digest> slot_committed_digest(SeqNum s) const override;
-  bool slots_behind() const override { return execution_gap(); }
+  bool slots_behind() const override;
   /// Requires the weak checkpoint certificate (verify_checkpoint_proof).
   bool verify_checkpoint(const StateManifestMsg& m, sim::ActorContext& ctx) override;
   /// Ships up to 2f+1 checkpoint signatures (checkpoint_proof_for).
@@ -101,8 +104,9 @@ class PbftReplica final : public runtime::ReplicaShell {
   void on_checkpoint_adopted(SeqNum seq) override;
 
   void handle_pre_prepare(NodeId from, const PrePrepareMsg& m, sim::ActorContext& ctx);
-  void handle_prepare(const PbftPrepareMsg& m, sim::ActorContext& ctx);
-  void handle_commit(const PbftCommitMsg& m, sim::ActorContext& ctx);
+  /// Prepare and commit votes (PbftPrepareMsg / PbftCommitMsg).
+  template <typename Vote>
+  void handle_vote(const Vote& m, sim::ActorContext& ctx);
   void handle_checkpoint(const PbftCheckpointMsg& m, sim::ActorContext& ctx);
   /// Continuation of handle_checkpoint once the vote signature cost has been
   /// paid (possibly on a worker lane).
@@ -132,28 +136,14 @@ class PbftReplica final : public runtime::ReplicaShell {
   std::optional<StateManifestMsg> fabricate_manifest(
       const StateTransferRequestMsg& probe, sim::ActorContext& ctx);
 
-  void try_propose(sim::ActorContext& ctx, bool flush_partial = false) override;
-  /// §VIII adaptive batch parameter, mirroring SBFT's controller: sizes the
-  /// minimum block off an EWMA of the pending backlog (small blocks when
-  /// idle for latency, full blocks under load for amortized fixed costs).
-  /// Returns the static config.max_batch when adaptive_batching is off.
-  uint32_t adaptive_batch_size() const;
   void accept_pre_prepare(SeqNum s, ViewNum v, Block block, sim::ActorContext& ctx);
   void check_prepared(SeqNum s, sim::ActorContext& ctx);
   void check_committed(SeqNum s, sim::ActorContext& ctx);
   void try_execute(sim::ActorContext& ctx) override;
-  void start_view_change(ViewNum target, sim::ActorContext& ctx);
   void enter_new_view(const PbftNewViewMsg& m, sim::ActorContext& ctx);
-  bool execution_gap() const;
-  /// Highest sequence for which f+1 distinct checkpoint votes on one digest
-  /// are on hand — proof some honest replica executed that far.
-  SeqNum checkpoint_evidence_frontier() const;
 
   const bool fabricate_checkpoint_;
   const std::shared_ptr<const CheckpointAuth> checkpoint_auth_;
-
-  // Open view-change session span (0 = none); see the SBFT engine.
-  ViewNum vc_span_ = 0;
 
   std::map<SeqNum, Slot> slots_;
 
@@ -178,7 +168,6 @@ class PbftReplica final : public runtime::ReplicaShell {
   ExecCertificate fake_cert_;
 
   std::map<ViewNum, std::map<ReplicaId, PbftViewChangeMsg>> vc_msgs_;
-  bool new_view_sent_ = false;
 
   // State-transfer manifests/replies rejected for missing or invalid quorum
   // checkpoint certificates (the malicious-donor defense).

@@ -882,6 +882,15 @@ std::optional<Message> decode_message(ByteSpan data) {
 
 size_t message_wire_size(const Message& msg) { return encode_message(msg).size(); }
 
+size_t encoded_size(const PrePrepareMsg& m) {
+  // Encoder: tag, seq, view, request count; put(Request) per request.
+  size_t n = 1 + 8 + 8 + 4;
+  for (const Request& r : m.block.requests()) {
+    n += 4 + 8 + 4 + r.op.size() + 4 + r.client_sig.size();
+  }
+  return n;
+}
+
 const char* message_type_name(const Message& msg) {
   struct Namer {
     const char* operator()(const ClientRequestMsg&) { return "client-request"; }

@@ -515,6 +515,9 @@ Bytes encode_message(const Message& msg);
 std::optional<Message> decode_message(ByteSpan data);
 /// Wire size of the encoded message (used for network transmission cost).
 size_t message_wire_size(const Message& msg);
+/// Size of encode_message(Message(m)), computed without encoding (ledger
+/// replay charges the decision bytes it reads back).
+size_t encoded_size(const PrePrepareMsg& m);
 /// Short human-readable type name (logging, metrics).
 const char* message_type_name(const Message& msg);
 

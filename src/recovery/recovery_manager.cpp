@@ -55,16 +55,13 @@ std::optional<RecoveredState> RecoveryManager::recover(
   // pre-crash last-executed sequence (modulo a torn tail, which load_index
   // already truncated away).
   for (SeqNum s = out.last_executed + 1; ledger_ && s <= ledger_last; ++s) {
-    auto encoded = ledger_->read_block(s);
-    if (!encoded) break;  // gap: everything beyond is unusable
-    auto msg = decode_message(as_span(*encoded));
-    if (!msg || !std::holds_alternative<PrePrepareMsg>(*msg)) break;
-    const auto& pp = std::get<PrePrepareMsg>(*msg);
+    std::optional<PrePrepareMsg> pp = ledger_->read_decision(s);
+    if (!pp) break;  // gap: everything beyond is unusable
 
     ReplayedBlock rb;
     rb.seq = s;
-    rb.view = pp.view;
-    rb.block = pp.block;
+    rb.view = pp->view;
+    rb.block = pp->block;
     for (size_t l = 0; l < rb.block.requests().size(); ++l) {
       const Request& req = rb.block.requests()[l];
       Bytes value;
@@ -112,7 +109,7 @@ std::optional<RecoveredState> RecoveryManager::recover(
     rb.cert.prev_exec_digest = out.exec_digests[s - 1];
     out.exec_digests[s] = rb.cert.exec_digest();
     out.last_executed = s;
-    out.replayed_bytes += encoded->size();
+    out.replayed_bytes += encoded_size(*pp);
     out.replayed.push_back(std::move(rb));
     if (checkpoint_interval_ > 0 && s % checkpoint_interval_ == 0) {
       out.snapshot_seq = s;

@@ -38,6 +38,7 @@ RuntimeOptions make_runtime_options(const ShellOptions& opts, uint32_t roster_c)
 }  // namespace
 
 ReplicaShell::ReplicaShell(ShellOptions options, uint32_t roster_c, bool silent,
+                           uint32_t demand_divisor,
                            std::unique_ptr<IService> service)
     : opts_(std::move(options)),
       runtime_(make_runtime_options(opts_, roster_c), std::move(service)),
@@ -47,10 +48,13 @@ ReplicaShell::ReplicaShell(ShellOptions options, uint32_t roster_c, bool silent,
       h_pp_to_commit_(&metrics_->histogram("stage.pp_to_commit_us")),
       h_commit_to_exec_(&metrics_->histogram("stage.commit_to_exec_us")),
       c_state_transfers_(runtime_.counters().counter("state_transfers")),
-      c_view_changes_(runtime_.counters().counter("view_changes")),
-      c_noop_fill_blocks_(runtime_.counters().counter("noop_fill_blocks")),
       cfg_(opts_.config),
-      silent_(silent) {
+      silent_(silent),
+      demand_divisor_(demand_divisor),
+      h_pending_wait_(&metrics_->histogram("stage.pending_wait_us")),
+      c_proposed_requests_(runtime_.counters().counter("proposed_requests")),
+      c_noop_fill_blocks_(runtime_.counters().counter("noop_fill_blocks")),
+      c_view_changes_(runtime_.counters().counter("view_changes")) {
   // With an explicit roster the id may exceed the genesis n (a joiner added
   // by a later epoch); the genesis mapping requires id in 1..n.
   SBFT_CHECK(opts_.id >= 1 &&
@@ -89,9 +93,7 @@ void ReplicaShell::on_start(sim::ActorContext& ctx) {
   if (recovered_replay_bytes_ > 0) {
     ctx.charge(ctx.costs().persist_us(recovered_replay_bytes_));
   }
-  if (is_primary()) {
-    ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
-  }
+  arm_batch_timer(ctx);
   if (opts_.marker_executor != nullptr &&
       opts_.marker_executor->tick_interval_us() > 0) {
     ctx.set_timer(opts_.marker_executor->tick_interval_us(),
@@ -145,6 +147,107 @@ void ReplicaShell::arm_progress_timer(sim::ActorContext& ctx) {
   ctx.set_timer(backoff, timer_id(kProgressTimer, 0));
 }
 
+bool ReplicaShell::begin_view_change(ViewNum target, sim::ActorContext& ctx) {
+  if (target <= view_ || retired_) return false;
+  if (in_view_change_ && target <= vc_target_) return false;
+  in_view_change_ = true;
+  vc_target_ = target;
+  ++vc_attempts_;
+  ++c_view_changes_;
+  // One session span per target view; escalating to a higher target closes
+  // the superseded session and opens the next.
+  if (vc_span_ != 0 && vc_span_ != target) {
+    trace_.end(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
+               vc_span_, 0, vc_span_, "superseded", 1);
+  }
+  if (vc_span_ != target) {
+    vc_span_ = target;
+    trace_.begin(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
+                 target, 0, target);
+  }
+  arm_progress_timer(ctx);
+  return true;
+}
+
+void ReplicaShell::enter_view(ViewNum v, ViewNum span_view, sim::ActorContext& ctx) {
+  view_ = v;
+  in_view_change_ = false;
+  vc_target_ = v;
+  vc_attempts_ = 0;
+  new_view_sent_ = false;
+  if (vc_span_ != 0) {
+    trace_.end(ctx.now(), obs::Category::kViewChange, obs::ev::kViewChange,
+               vc_span_, 0, span_view, "entered_view", v);
+    vc_span_ = 0;
+  } else {
+    // Entered on the strength of a new-view alone (never locally timed out).
+    trace_.instant(ctx.now(), obs::Category::kViewChange, obs::ev::kViewEntered,
+                   0, 0, v);
+  }
+  runtime_.wal_record_view(v);
+}
+
+void ReplicaShell::resume_view(SeqNum next_seq, sim::ActorContext& ctx) {
+  next_seq_ = next_seq;
+  progress_marker_ = le();
+  arm_batch_timer(ctx);
+  try_propose(ctx);
+  arm_progress_timer(ctx);
+}
+
+bool ReplicaShell::record_vote(SeqNum s, ViewNum v, Block block, SlotVote& vote,
+                               sim::ActorContext& ctx) {
+  // Only members of the slot's epoch vote (a joiner hears the enlarged
+  // cluster's broadcasts before it has adopted the epoch that admits it —
+  // and holds no signer for any earlier scheme).
+  if (retired_ || !epoch_for_seq(s).contains(opts_.id)) return false;
+  Digest digest = block.digest();
+  // A block carrying a reconfiguration marker raises the pre-execution shadow
+  // of the activation boundary: later slots are refused until the marker
+  // executes (when the runtime's staged boundary takes over) or the slot is
+  // superseded. Without this, pre-boundary keys could sign post-boundary
+  // slots in the window between ordering and executing the marker.
+  for (const Request& req : block.requests()) {
+    if (decode_reconfig_request(req)) {
+      uint64_t interval = opts_.config.checkpoint_interval();
+      SeqNum boundary = (s + interval - 1) / interval * interval;
+      shadow_gate_ = std::max(shadow_gate_, boundary);
+    }
+  }
+  // Anti-equivocation across restarts: a previous incarnation's persisted
+  // vote at this (or a later) view binds this one to the same digest.
+  if (auto wv = wal_votes_.find(s);
+      wv != wal_votes_.end() && wv->second.first >= v &&
+      !(wv->second.second == digest)) {
+    return false;
+  }
+  // Write-ahead contract: the vote is durable before it is sent.
+  runtime_.wal_record_vote(s, v, digest);
+  vote.has_pp = true;
+  vote.pp_view = v;
+  vote.block_digest = digest;
+  vote.block = std::move(block);
+  vote.h = slot_hash(s, v, digest);
+  // Slot span: accepted pre-prepare -> executed. The span id folds the view
+  // in so a slot re-accepted after a view change opens a fresh span (the
+  // superseded one stays dangling, which Perfetto renders as unfinished).
+  trace_.begin(ctx.now(), obs::Category::kSlot, obs::ev::kSlot, (v << 32) | s,
+               s, v);
+  ctx.charge(ctx.costs().hash_us(64));
+  return true;
+}
+
+void ReplicaShell::reply_to_clients(SeqNum s, const ExecutionRecord& rec,
+                                    sim::ActorContext& ctx) {
+  if (silent()) return;
+  for (size_t l = 0; l < rec.block.requests().size(); ++l) {
+    const Request& req = rec.block.requests()[l];
+    ctx.send(req.client, make_message(ClientReplyMsg{opts_.id, req.client,
+                                                     req.timestamp, s,
+                                                     rec.values[l]}));
+  }
+}
+
 SeqNum ReplicaShell::reconfig_gate() const {
   if (SeqNum staged = runtime_.membership().pending_activation(); staged > 0) {
     return staged;
@@ -170,10 +273,8 @@ void ReplicaShell::maybe_refresh_epoch(sim::ActorContext& ctx) {
   // A replica that just joined needs nothing special — the slots above its
   // adopted checkpoint arrive through the normal protocol paths.
   retired_ = false;
-  if (is_primary()) {
-    ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
-    try_propose(ctx);
-  }
+  arm_batch_timer(ctx);
+  try_propose(ctx);
 }
 
 std::optional<Digest> ReplicaShell::committed_digest_of(SeqNum s) const {
@@ -224,9 +325,28 @@ void ReplicaShell::on_timer(uint64_t id, sim::ActorContext& ctx) {
     case kBatchTimer: {
       // Flush partial batches so low load never waits forever (§V-C "or
       // reaching a timeout").
-      if (is_primary() && !in_view_change_) try_propose(ctx, /*flush_partial=*/true);
-      if (is_primary()) {
-        ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
+      try_propose(ctx, /*flush_partial=*/true);
+      arm_batch_timer(ctx);
+      break;
+    }
+    case kProgressTimer: {
+      progress_timer_armed_ = false;
+      bool outstanding = !pending_.empty() || forwarded_waiting_ ||
+                         highest_slot() > le() || in_view_change_;
+      if (le() > progress_marker_) {
+        // Progress was made; assume forwarded requests were served (if not,
+        // the client's retry re-raises the flag).
+        progress_marker_ = le();
+        forwarded_waiting_ = false;
+        if (outstanding) arm_progress_timer(ctx);
+      } else if (outstanding) {
+        // If f+1 checkpoint votes prove the cluster executed past us, the
+        // stall is not the primary's fault — we missed (or are dropping, if a
+        // view change is pending) the traffic for slots a quorum already
+        // garbage-collected. Fetch the checkpoint; escalating the view change
+        // alone cannot recover the gap (schedule fuzzer, seed 91).
+        if (checkpoint_evidence_frontier() > le()) request_state_transfer(ctx);
+        start_view_change(std::max(view_, vc_target_) + 1, ctx);
       }
       break;
     }
@@ -309,13 +429,11 @@ void ReplicaShell::admit_client_request(NodeId from, const Request& req,
                                         sim::ActorContext& ctx) {
   if (const CachedReply* cached = runtime_.cached_reply(req.client, req.timestamp)) {
     // Already executed: serve the cached reply (client retry path, §V-A).
-    ClientReplyMsg reply;
-    reply.replica = opts_.id;
-    reply.client = req.client;
-    reply.timestamp = cached->timestamp;
-    reply.seq = cached->seq;
-    reply.value = cached->value;
-    if (!silent()) ctx.send(req.client, make_message(std::move(reply)));
+    if (!silent()) {
+      ctx.send(req.client, make_message(ClientReplyMsg{
+                               opts_.id, req.client, cached->timestamp,
+                               cached->seq, cached->value}));
+    }
     trace_.instant(ctx.now(), obs::Category::kSlot, obs::ev::kReplyCached, 0,
                    cached->seq, view_, "client", req.client);
     return;
@@ -338,6 +456,65 @@ void ReplicaShell::admit_client_request(NodeId from, const Request& req,
                     make_message(ClientRequestMsg{req}));
     forwarded_waiting_ = true;
     arm_progress_timer(ctx);
+  }
+}
+
+void ReplicaShell::try_propose(sim::ActorContext& ctx, bool flush_partial) {
+  if (!is_primary() || in_view_change_ || retired_) return;
+  // Demand sample: queued requests plus requests in unexecuted blocks, counted
+  // from the slots so it self-corrects across view changes and state transfer.
+  avg_pending_ = 0.8 * avg_pending_ +
+                 0.2 * static_cast<double>(pending_.size() + in_flight_requests());
+  const uint64_t window = std::max<uint64_t>(1, proposal_window());
+  auto has_room = [&] {
+    return next_seq_ - 1 - le() < window && next_seq_ <= ls() + opts_.config.win;
+  };
+  // §VIII adaptive batching: the minimum operations per block follows the
+  // demand EWMA spread across demand_divisor_ concurrent blocks — small blocks
+  // when idle, full ones under load. Partial blocks leave on the batch timer.
+  uint32_t want = opts_.config.max_batch;
+  if (opts_.config.adaptive_batching) {
+    uint64_t size = static_cast<uint64_t>(avg_pending_ / demand_divisor_) + 1;
+    want = static_cast<uint32_t>(
+        std::clamp<uint64_t>(size, 1, opts_.config.max_batch));
+  }
+  while (!pending_.empty()) {
+    // Drop requests already executed (e.g. committed via an earlier view).
+    const Request& head = pending_.front().first;
+    if (runtime_.replies().is_duplicate(head.client, head.timestamp)) {
+      pending_keys_.erase({head.client, head.timestamp});
+      pending_.pop_front();
+      continue;
+    }
+    if (!has_room()) return;
+    // Reconfiguration wedge: no slot beyond a pending activation boundary may
+    // be ordered under the old epoch's keys/quorums — proposals resume from
+    // the boundary once the checkpoint is stable and the epoch active.
+    if (SeqNum gate = reconfig_gate(); gate > 0 && next_seq_ > gate) return;
+    if (pending_.size() < want && !flush_partial) return;
+    std::vector<Request> requests;
+    while (!pending_.empty() && requests.size() < want) {
+      auto [r, arrived] = std::move(pending_.front());
+      pending_.pop_front();
+      pending_keys_.erase({r.client, r.timestamp});
+      h_pending_wait_->record(ctx.now() - arrived);
+      ++c_proposed_requests_;
+      requests.push_back(std::move(r));
+    }
+    propose(next_seq_++, Block(std::move(requests)), ctx);
+  }
+
+  // Primary-driven no-op fill (docs/reconfiguration.md): a staged
+  // reconfiguration only activates when the checkpoint at its boundary
+  // becomes stable, and checkpoints only form when slots commit. With no
+  // client traffic the cluster would idle forever short of the boundary —
+  // so on batch-timer ticks the primary fills the gap with empty blocks.
+  if (flush_partial && pending_.empty()) {
+    SeqNum gate = reconfig_gate();
+    while (gate > 0 && next_seq_ <= gate && has_room()) {
+      ++c_noop_fill_blocks_;
+      propose(next_seq_++, Block{}, ctx);
+    }
   }
 }
 

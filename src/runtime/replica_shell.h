@@ -10,10 +10,13 @@
 // all of it. The shell owns the ReplicaRuntime (execution, checkpoints, WAL),
 // the tracer and metrics bindings, and the replica's non-protocol state.
 //
+// So are the primary's proposer, the progress timer, the view-change session
+// bookkeeping and the vote record of an accepted pre-prepare.
+//
 // An engine derives from ReplicaShell, handles its own protocol messages and
-// timers, and implements the hooks in the protected section: proposing and
-// executing blocks, verifying a checkpoint certificate, and cleaning up its
-// slots when a checkpoint is adopted.
+// timers, and implements the hooks in the protected section: sending a
+// proposal, executing blocks, starting a view change, verifying a checkpoint
+// certificate, and cleaning up its slots when a checkpoint is adopted.
 #pragma once
 
 #include <deque>
@@ -72,6 +75,15 @@ struct ShellOptions {
   IMarkerExecutor* marker_executor = nullptr;
 };
 
+/// The accepted pre-prepare of a slot; each engine's Slot derives from it.
+struct SlotVote {
+  bool has_pp = false;
+  ViewNum pp_view = 0;
+  Digest block_digest{};
+  std::optional<Block> block;
+  Digest h{};  // slot_hash(seq, pp_view, block_digest)
+};
+
 class ReplicaShell : public sim::IActor {
  public:
   ~ReplicaShell() override;
@@ -95,9 +107,11 @@ class ReplicaShell : public sim::IActor {
 
  protected:
   /// `roster_c` is the bootstrap roster's collector parameter (PBFT: 0);
-  /// `silent` models a replica that receives but never sends.
+  /// `silent` models a replica that receives but never sends;
+  /// `demand_divisor` is how many concurrent blocks the adaptive batch
+  /// controller spreads the primary's outstanding demand across.
   ReplicaShell(ShellOptions options, uint32_t roster_c, bool silent,
-               std::unique_ptr<IService> service);
+               uint32_t demand_divisor, std::unique_ptr<IService> service);
 
   // Timer identifiers: kind in the top 16 bits, sequence/payload below.
   // Engines number their own kinds from kFirstEngineTimer.
@@ -119,10 +133,20 @@ class ReplicaShell : public sim::IActor {
   /// Messages and timers the shell does not handle itself.
   virtual void on_protocol_message(NodeId from, const Message& msg,
                                    sim::ActorContext& ctx) = 0;
-  virtual void on_protocol_timer(uint64_t id, sim::ActorContext& ctx) = 0;
-  /// Primary: turn queued requests into proposals (partial blocks only when
-  /// flush_partial).
-  virtual void try_propose(sim::ActorContext& ctx, bool flush_partial = false) = 0;
+  virtual void on_protocol_timer(uint64_t /*id*/, sim::ActorContext& /*ctx*/) {}
+  /// Primary: most proposals in flight (unexecuted) at once; at least 1.
+  virtual uint64_t proposal_window() const { return opts_.config.win / 4; }
+  /// Primary: requests in the blocks of the slots in (le(), next_seq_).
+  virtual uint64_t in_flight_requests() const = 0;
+  /// Primary: charges the proposal and sends the pre-prepare for slot s.
+  virtual void propose(SeqNum s, Block block, sim::ActorContext& ctx) = 0;
+  /// Highest sequence holding a slot (0: none).
+  virtual SeqNum highest_slot() const = 0;
+  /// Highest sequence f+1 checkpoint votes prove the cluster executed (0:
+  /// none); a stalled replica behind it fetches state before escalating.
+  virtual SeqNum checkpoint_evidence_frontier() const { return 0; }
+  /// Sends the engine's view-change message (after begin_view_change).
+  virtual void start_view_change(ViewNum target, sim::ActorContext& ctx) = 0;
   /// Executes committed blocks in sequence order while possible.
   virtual void try_execute(sim::ActorContext& ctx) = 0;
   /// Committed digest of an in-flight slot (nullopt when not committed).
@@ -156,6 +180,44 @@ class ReplicaShell : public sim::IActor {
   void send_to_replica(sim::ActorContext& ctx, ReplicaId r, MessagePtr msg);
   void broadcast_replicas(sim::ActorContext& ctx, MessagePtr msg);
   void arm_progress_timer(sim::ActorContext& ctx);
+  /// Primary: arms the timer that flushes partial batches (no-op on a backup).
+  void arm_batch_timer(sim::ActorContext& ctx) {
+    if (!is_primary()) return;
+    ctx.set_timer(opts_.config.batch_timeout_us, timer_id(kBatchTimer, 0));
+  }
+  /// Primary: turns queued requests into proposals (partial blocks only when
+  /// flush_partial).
+  void try_propose(sim::ActorContext& ctx, bool flush_partial = false);
+  /// The body of both engines' in_flight_requests.
+  template <typename Slots>
+  uint64_t requests_in_flight(const Slots& slots) const {
+    uint64_t n = 0;
+    for (auto it = slots.upper_bound(le()); it != slots.end() && it->first < next_seq_;
+         ++it) {
+      if (it->second.block) n += it->second.block->requests().size();
+    }
+    return n;
+  }
+  /// Accepts a pre-prepare for slot s in view v into `vote`: persists the
+  /// vote, opens the slot span and charges the slot hash. False (nothing
+  /// recorded) when retired, when not a member of the slot's epoch, or when
+  /// a previous incarnation's WAL vote binds the slot to another digest.
+  bool record_vote(SeqNum s, ViewNum v, Block block, SlotVote& vote,
+                   sim::ActorContext& ctx);
+  /// Replies to every client of the block executed at s directly (the
+  /// f+1-matching-replies path).
+  void reply_to_clients(SeqNum s, const ExecutionRecord& rec,
+                        sim::ActorContext& ctx);
+  /// Opens or escalates the view-change session toward `target` (one trace
+  /// span per target view) and arms the progress timer to back off to the
+  /// next target. False when the target is stale or this replica retired.
+  bool begin_view_change(ViewNum target, sim::ActorContext& ctx);
+  /// Enters view v: view fields, the session span's end (trace argument
+  /// `view` = span_view) or a kViewEntered instant, and the WAL view record.
+  void enter_view(ViewNum v, ViewNum span_view, sim::ActorContext& ctx);
+  /// Resumes ordering in the entered view: proposals continue at next_seq,
+  /// progress is measured from le(), and the primary restarts batching.
+  void resume_view(SeqNum next_seq, sim::ActorContext& ctx);
   /// First sequence proposals/pre-prepares must not cross while a
   /// reconfiguration awaits activation (0: no gate). Pre-boundary keys must
   /// never sign post-boundary slots.
@@ -186,10 +248,6 @@ class ReplicaShell : public sim::IActor {
   obs::Histogram* h_pp_to_commit_;
   obs::Histogram* h_commit_to_exec_;
   uint64_t& c_state_transfers_;  // fetches this replica started
-  uint64_t& c_view_changes_;
-  // Primary: empty blocks proposed to drive an idle cluster across a pending
-  // reconfiguration's activation checkpoint boundary.
-  uint64_t& c_noop_fill_blocks_;
   // The current state-transfer trace session, and whether its span is open.
   uint64_t st_session_ = 0;
   bool st_span_open_ = false;
@@ -210,17 +268,12 @@ class ReplicaShell : public sim::IActor {
   bool in_view_change_ = false;
   ViewNum vc_target_ = 0;
   uint32_t vc_attempts_ = 0;
+  ViewNum vc_span_ = 0;  // open view-change session span (0 = none)
+  bool new_view_sent_ = false;
   SeqNum next_seq_ = 1;  // primary: next sequence to propose
-
-  // Primary request queue: requests with their admission time.
-  std::deque<std::pair<Request, sim::SimTime>> pending_;
-  std::set<std::pair<ClientId, uint64_t>> pending_keys_;
-  double avg_pending_ = 0;  // EWMA demand estimate for adaptive batching
 
   // Progress tracking for the view-change timer.
   SeqNum progress_marker_ = 0;
-  bool progress_timer_armed_ = false;
-  bool forwarded_waiting_ = false;  // forwarded a client request to the primary
 
   // Votes persisted by a previous incarnation for slots still in flight:
   // seq -> (highest voted view, block digest). A recovered replica refuses to
@@ -263,6 +316,21 @@ class ReplicaShell : public sim::IActor {
   void complete_chunked_transfer(sim::ActorContext& ctx);
 
   const bool silent_;
+  const double demand_divisor_;
+
+  // Primary request queue: requests with their admission time.
+  std::deque<std::pair<Request, sim::SimTime>> pending_;
+  std::set<std::pair<ClientId, uint64_t>> pending_keys_;
+  double avg_pending_ = 0;  // EWMA demand estimate for adaptive batching
+  obs::Histogram* h_pending_wait_;
+  uint64_t& c_proposed_requests_;  // requests batched into blocks
+  // Empty blocks proposed to drive an idle cluster across a pending
+  // reconfiguration's activation checkpoint boundary.
+  uint64_t& c_noop_fill_blocks_;
+  uint64_t& c_view_changes_;
+
+  bool progress_timer_armed_ = false;
+  bool forwarded_waiting_ = false;  // forwarded a client request to the primary
   bool st_retry_armed_ = false;  // state-transfer retry timer pending
   bool donor_tick_armed_ = false;
   uint64_t recovered_replay_bytes_ = 0;  // charged as boot-time replay CPU

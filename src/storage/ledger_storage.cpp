@@ -8,14 +8,20 @@
 
 namespace sbft::storage {
 
+std::optional<Bytes> ILedgerStorage::read_block(SeqNum s) const {
+  std::optional<PrePrepareMsg> decision = read_decision(s);
+  if (!decision) return std::nullopt;
+  return encode_message(Message(std::move(*decision)));
+}
+
 void MemoryLedgerStorage::append_block(SeqNum s, ViewNum v, const Block& block) {
   decisions_.emplace(s, PrePrepareMsg{s, v, block});
 }
 
-std::optional<Bytes> MemoryLedgerStorage::read_block(SeqNum s) const {
+std::optional<PrePrepareMsg> MemoryLedgerStorage::read_decision(SeqNum s) const {
   auto it = decisions_.find(s);
   if (it == decisions_.end()) return std::nullopt;
-  return encode_message(Message(it->second));
+  return it->second;
 }
 
 SeqNum MemoryLedgerStorage::last_seq() const {
@@ -81,7 +87,7 @@ void FileLedgerStorage::append_block(SeqNum s, ViewNum v, const Block& block) {
   index_[s] = {offset + 12, len};
 }
 
-std::optional<Bytes> FileLedgerStorage::read_block(SeqNum s) const {
+std::optional<PrePrepareMsg> FileLedgerStorage::read_decision(SeqNum s) const {
   auto it = index_.find(s);
   if (it == index_.end()) return std::nullopt;
   std::FILE* f = file_;
@@ -91,7 +97,9 @@ std::optional<Bytes> FileLedgerStorage::read_block(SeqNum s) const {
   if (!out.empty() && std::fread(out.data(), 1, out.size(), f) != out.size())
     return std::nullopt;
   std::fseek(f, 0, SEEK_END);
-  return out;
+  std::optional<Message> msg = decode_message(as_span(out));
+  if (!msg || !std::holds_alternative<PrePrepareMsg>(*msg)) return std::nullopt;
+  return std::get<PrePrepareMsg>(std::move(*msg));
 }
 
 SeqNum FileLedgerStorage::last_seq() const {

@@ -1,11 +1,12 @@
 // Ledger persistence (§VIII: the paper persists the blockchain through
 // RocksDB; DESIGN.md §3 substitutes an append-only log). Replicas append each
 // executed decision: the sequence number, the view of the pre-prepare that
-// ordered it, and the block. A ledger hands a decision back in its canonical
-// encoding, encode_message(PrePrepareMsg{s, v, block}), whichever way it keeps
-// it. The memory ledger holds the (shared, immutable) block itself and
-// encodes on read; the file ledger encodes on append. The simulator charges
-// persistence cost through the cost model either way.
+// ordered it, and the block. A ledger hands a decision back as the
+// PrePrepareMsg{s, v, block} (read_decision) or in its canonical encoding
+// (read_block), whichever way it keeps it. The memory ledger holds the
+// (shared, immutable) block itself; the file ledger encodes on append and
+// decodes on read. The simulator charges persistence cost through the cost
+// model either way.
 #pragma once
 
 #include <cstdio>
@@ -27,9 +28,12 @@ class ILedgerStorage {
   /// Persists the decision at sequence `s` (idempotent: a sequence number
   /// already stored keeps its first decision).
   virtual void append_block(SeqNum s, ViewNum v, const Block& block) = 0;
-  /// The decision at `s` as encode_message(PrePrepareMsg{s, v, block}), or
-  /// nullopt when `s` is not stored.
-  virtual std::optional<Bytes> read_block(SeqNum s) const = 0;
+  /// The decision at `s`, or nullopt when `s` is not stored or its stored
+  /// bytes do not decode.
+  virtual std::optional<PrePrepareMsg> read_decision(SeqNum s) const = 0;
+  /// The decision at `s` as encode_message(PrePrepareMsg{s, v, block});
+  /// nullopt as for read_decision.
+  std::optional<Bytes> read_block(SeqNum s) const;
   /// Highest sequence number stored, or 0 if empty.
   virtual SeqNum last_seq() const = 0;
   virtual uint64_t block_count() const = 0;
@@ -39,11 +43,11 @@ class ILedgerStorage {
 
 /// Keeps each decision as a PrePrepareMsg whose block shares its request
 /// list with every other holder of that block (the replicas of a simulated
-/// cluster all keep the one list); read_block encodes on demand.
+/// cluster all keep the one list); read_decision hands out that block.
 class MemoryLedgerStorage final : public ILedgerStorage {
  public:
   void append_block(SeqNum s, ViewNum v, const Block& block) override;
-  std::optional<Bytes> read_block(SeqNum s) const override;
+  std::optional<PrePrepareMsg> read_decision(SeqNum s) const override;
   SeqNum last_seq() const override;
   uint64_t block_count() const override { return decisions_.size(); }
 
@@ -64,7 +68,7 @@ class FileLedgerStorage final : public ILedgerStorage {
   FileLedgerStorage& operator=(const FileLedgerStorage&) = delete;
 
   void append_block(SeqNum s, ViewNum v, const Block& block) override;
-  std::optional<Bytes> read_block(SeqNum s) const override;
+  std::optional<PrePrepareMsg> read_decision(SeqNum s) const override;
   SeqNum last_seq() const override;
   uint64_t block_count() const override { return index_.size(); }
   void sync() override;

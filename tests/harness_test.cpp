@@ -88,8 +88,8 @@ const std::set<std::string> kSharedCounters = {
     "blocks_executed", "blocks_replayed", "bytes_sent", "cpu_lane0_used_us",
     "cpu_offloads_run", "cpu_used_us", "delta_bytes_saved",
     "delta_chunks_skipped", "donor_chunks_throttled", "epochs_activated",
-    "joins_completed", "messages_sent", "noop_fill_blocks", "recoveries",
-    "reply_cache_hits", "requests_executed",
+    "joins_completed", "messages_sent", "noop_fill_blocks", "proposed_requests",
+    "recoveries", "reply_cache_hits", "requests_executed",
     "state_transfer_bytes_transferred", "state_transfer_chunks_fetched",
     "state_transfer_chunks_served", "state_transfer_invalid_chunks",
     "state_transfer_resumes", "state_transfers", "view_changes",
@@ -98,8 +98,7 @@ const std::set<std::string> kSharedCounters = {
 TEST(Counters, ExportedNamesIncludeZeroValuedCounters) {
   std::set<std::string> sbft = kSharedCounters;
   sbft.insert({"acked_blocks", "buffered_pi_shares", "fast_commits",
-               "invalid_shares_seen", "proposed_requests", "slow_commits",
-               "timed_slots"});
+               "invalid_shares_seen", "slow_commits", "timed_slots"});
   std::set<std::string> pbft = kSharedCounters;
   pbft.insert("checkpoint_certs_rejected");
   for (ProtocolKind kind : {ProtocolKind::kSbft, ProtocolKind::kPbft}) {
@@ -155,6 +154,29 @@ TEST(Counters, RestartCountsFromZeroAndKeepsHistograms) {
 TEST(CountersDeathTest, UnregisteredNameAborts) {
   Cluster cluster(small_cluster(ProtocolKind::kSbft));
   EXPECT_DEATH(cluster.replica(1).counter("no_such_counter"), "SBFT_CHECK failed");
+}
+
+// Both engines propose through the shell, so both time every request's wait
+// in the primary's queue. Without view changes the primary proposes each
+// request exactly once, and executes each once.
+TEST(SharedProposer, PendingWaitCountsEveryProposedRequest) {
+  for (ProtocolKind kind : {ProtocolKind::kSbft, ProtocolKind::kPbft}) {
+    SCOPED_TRACE(protocol_name(kind));
+    ClusterOptions opts = small_cluster(kind);
+    opts.requests_per_client = 20;
+    Cluster cluster(opts);
+    ASSERT_TRUE(cluster.run_until_done(10'000'000));
+    ASSERT_EQ(cluster.total_counter("view_changes"), 0u);
+    const ReplicaHandle& primary = cluster.replica(1);
+    const obs::Histogram* waits =
+        primary.metrics()->find_histogram("stage.pending_wait_us");
+    ASSERT_NE(waits, nullptr);
+    EXPECT_EQ(waits->count(), primary.counter("proposed_requests"));
+    EXPECT_EQ(primary.counter("proposed_requests"),
+              primary.counter("requests_executed"));
+    EXPECT_EQ(primary.counter("requests_executed"),
+              opts.num_clients * opts.requests_per_client);
+  }
 }
 
 // ---------------------------------------------------------------------------

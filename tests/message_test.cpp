@@ -284,6 +284,22 @@ TEST(Messages, EmptyBlockHasNoRequests) {
   expect_roundtrip(Message(PrePrepareMsg{1, 0, none}));
 }
 
+TEST(Messages, PrePrepareEncodedSizeMatchesEncoding) {
+  std::vector<Request> requests;
+  for (size_t op_size : {0, 1, 300}) {
+    Request req;
+    req.client = 9;
+    req.timestamp = op_size;
+    req.op = Bytes(op_size, 0x11);
+    req.client_sig = Bytes(op_size % 7, 0x22);
+    requests.push_back(std::move(req));
+  }
+  for (const Block& block : {Block{}, Block(std::move(requests))}) {
+    PrePrepareMsg m{12, 3, block};
+    EXPECT_EQ(encoded_size(m), encode_message(Message(m)).size());
+  }
+}
+
 TEST(Messages, SlotHashBindsAllInputs) {
   Digest d = random_digest();
   EXPECT_NE(slot_hash(1, 0, d), slot_hash(2, 0, d));

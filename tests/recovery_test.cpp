@@ -233,6 +233,29 @@ TEST(RecoveryManagerTest, ReplaysLedgerFromGenesis) {
   EXPECT_GT(recovered->replayed_bytes, 0u);
 }
 
+TEST(RecoveryManagerTest, MemoryLedgerReplaySharesBlocks) {
+  // Replay takes each decision as the ledger holds it: no encode/decode round
+  // trip, so the replayed block shares the ledger's request list.
+  auto ledger = std::make_shared<storage::MemoryLedgerStorage>();
+  uint64_t ledger_bytes = 0;
+  for (SeqNum s = 1; s <= 4; ++s) {
+    ledger->append_block(s, 1, one_request_block(s, 100, s));
+    ledger_bytes += ledger->read_block(s)->size();
+  }
+  RecoveryManager manager(ledger, nullptr);
+  auto recovered =
+      manager.recover([] { return std::make_unique<harness::FastKvService>(); });
+  ASSERT_TRUE(recovered.has_value());
+  ASSERT_EQ(recovered->replayed.size(), 4u);
+  for (const ReplayedBlock& rb : recovered->replayed) {
+    EXPECT_EQ(rb.view, 1u);
+    EXPECT_EQ(&rb.block.requests(), &ledger->read_decision(rb.seq)->block.requests())
+        << "seq " << rb.seq;
+  }
+  // Replay is charged the decisions' encoded bytes, as read from disk.
+  EXPECT_EQ(recovered->replayed_bytes, ledger_bytes);
+}
+
 TEST(RecoveryManagerTest, SnapshotPlusSuffixMatchesFullReplay) {
   auto ledger = std::make_shared<storage::MemoryLedgerStorage>();
   for (SeqNum s = 1; s <= 6; ++s) {

@@ -70,6 +70,19 @@ TEST(MemoryLedger, DuplicateAppendIgnored) {
   EXPECT_EQ(ledger.block_count(), 1u);
 }
 
+TEST(MemoryLedger, ReadDecisionHandsOutTheHeldBlock) {
+  MemoryLedgerStorage ledger;
+  const Block one = block_of("block-1");
+  ledger.append_block(1, 4, one);
+  std::optional<PrePrepareMsg> d = ledger.read_decision(1);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->seq, 1u);
+  EXPECT_EQ(d->view, 4u);
+  EXPECT_EQ(&d->block.requests(), &one.requests());  // shared, not copied
+  EXPECT_EQ(encode_message(Message(*d)), decision(1, 4, one));
+  EXPECT_FALSE(ledger.read_decision(2).has_value());
+}
+
 TEST(MemoryLedger, EmptyState) {
   MemoryLedgerStorage ledger;
   EXPECT_EQ(ledger.last_seq(), 0u);
@@ -198,6 +211,38 @@ TEST(FileLedger, TruncatedTailPayloadIsDiscarded) {
   FileLedgerStorage again(tmp.path());
   EXPECT_EQ(again.block_count(), 2u);
   EXPECT_EQ(again.read_block(2), decision(2, 1, rewritten));
+}
+
+TEST(FileLedger, ReadDecisionRoundTripsThroughReopen) {
+  TempFile tmp;
+  const Block alpha = block_of("alpha");
+  {
+    FileLedgerStorage ledger(tmp.path());
+    ledger.append_block(2, 5, alpha);
+    ledger.sync();
+  }
+  FileLedgerStorage reopened(tmp.path());
+  std::optional<PrePrepareMsg> d = reopened.read_decision(2);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->seq, 2u);
+  EXPECT_EQ(d->view, 5u);
+  EXPECT_EQ(d->block.digest(), alpha.digest());
+  EXPECT_FALSE(reopened.read_decision(3).has_value());
+}
+
+TEST(FileLedger, UndecodableRecordReadsAsMissing) {
+  // A complete record whose payload is not a decision's encoding.
+  TempFile tmp;
+  {
+    std::FILE* f = std::fopen(tmp.path().c_str(), "wb");
+    const uint8_t record[12 + 3] = {9, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0xff, 0xfe, 0xfd};
+    std::fwrite(record, 1, sizeof(record), f);
+    std::fclose(f);
+  }
+  FileLedgerStorage ledger(tmp.path());
+  EXPECT_EQ(ledger.last_seq(), 9u);
+  EXPECT_FALSE(ledger.read_decision(9).has_value());
+  EXPECT_FALSE(ledger.read_block(9).has_value());
 }
 
 TEST(FileLedger, LargeBlock) {

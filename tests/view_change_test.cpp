@@ -101,7 +101,7 @@ TEST_F(ViewChangeFixture, EmptyEvidenceYieldsNoop) {
   std::vector<ViewChangeMsg> proofs = {vc(1, {}), vc(2, {}), vc(3, {})};
   SafeValue safe = compute_safe_value(config_, verifiers_, 1, proofs);
   EXPECT_EQ(safe.kind, SafeValue::Kind::kNoop);
-  EXPECT_EQ(safe.block_digest, null_block().digest());
+  EXPECT_EQ(safe.block_digest, Block{}.digest());
 }
 
 TEST_F(ViewChangeFixture, FullSlowProofDecides) {
